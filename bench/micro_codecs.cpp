@@ -1,16 +1,15 @@
 // Self-timed microbenchmarks for the line-codec hot path: words/second for
-// parity, byte-parity and SECDED line encode + decode through the legacy
-// allocating API vs the scratch-buffer API, with heap allocations counted
-// per call via a global operator-new hook. The scratch path must be
-// allocation-free — the bench exits non-zero if it ever allocates, which is
-// the repo's executable proof of the "zero allocations per line
-// encode/decode" claim.
+// parity, byte-parity and SECDED whole-line encode and for ecc::correct_line
+// (the validate-and-repair routine every protection scheme runs on a read),
+// with heap allocations counted per call via a global operator-new hook.
+// The batched encode and correct_line must be allocation-free — the bench
+// exits non-zero if either ever allocates, which is the repo's executable
+// proof of the "zero allocations per line encode/decode" claim.
 //
-// Also times the batched SWAR whole-line paths against the word-at-a-time
-// virtual-dispatch baseline (the pre-batching LineCodec inner loop),
-// verifies they agree bit-for-bit, and — with --min-secded-speedup=X —
-// exits non-zero unless batched SECDED encode is at least X times faster
-// than word-at-a-time. CI pins X=2.
+// Also times the batched SWAR line encode against the word-at-a-time
+// virtual-dispatch baseline, verifies they agree bit-for-bit, and — with
+// --min-secded-speedup=X — exits non-zero unless batched SECDED encode is
+// at least X times faster than word-at-a-time. CI pins X=2.
 //
 //   micro_codecs [--lines=65536] [--json=out.json] [--min-secded-speedup=X]
 #include <atomic>
@@ -21,7 +20,7 @@
 #include "bench_util.hpp"
 #include "json_reporter.hpp"
 #include "common/rng.hpp"
-#include "ecc/line_codec.hpp"
+#include "ecc/correct_line.hpp"
 #include "ecc/parity.hpp"
 #include "ecc/secded.hpp"
 
@@ -117,42 +116,24 @@ int main(int argc, char** argv) {
   for (auto& w : data) w = rng.next();
 
   TextTable table({"codec", "op", "API", "words/s", "allocs/call"});
-  bool scratch_allocated = false;
+  bool allocated = false;
   bool equivalence_broken = false;
   double secded_speedup = 0.0;
 
   for (const auto& [name, codec] : codecs) {
-    const ecc::LineCodec lc(*codec, kLineBytes);
-    std::vector<u64> check(kWords), out(kWords);
-    lc.encode(data, check);
-    ecc::ProtectedLine line{data, check};
+    std::vector<u64> check(kWords);
 
     struct Case {
       const char* op;
       const char* api;
       Measurement m;
-      bool is_scratch;
+      bool must_not_allocate;
     };
     std::vector<Case> cases;
 
-    cases.push_back({"encode", "alloc",
-                     timed(lines, kWords,
-                           [&](u64 i) {
-                             data[i % kWords] ^= i | 1;
-                             return lc.encode_alloc(data)[0];
-                           }),
-                     false});
-    cases.push_back({"encode", "scratch",
-                     timed(lines, kWords,
-                           [&](u64 i) {
-                             data[i % kWords] ^= i | 1;
-                             lc.encode(data, check);
-                             return check[0];
-                           }),
-                     true});
     // Batched SWAR line encode vs the word-at-a-time virtual-dispatch
-    // baseline (what LineCodec::encode did before batching). Same input
-    // mutation schedule, so the words/s figures are directly comparable.
+    // baseline. Same input mutation schedule, so the words/s figures are
+    // directly comparable.
     std::vector<u64> scalar_check(kWords);
     const Measurement scalar_m = timed(lines, kWords, [&](u64 i) {
       data[i % kWords] ^= i | 1;
@@ -186,25 +167,20 @@ int main(int argc, char** argv) {
       equivalence_broken = true;
     }
 
-    // Re-sync the stored check words with the mutated payload so the decode
-    // loops run the clean path (the hot case in the simulator).
-    lc.encode(line.data, line.check);
-    cases.push_back({"decode", "alloc",
-                     timed(lines, kWords,
-                           [&](u64) { return lc.decode_alloc(line).data[0]; }),
-                     false});
-    cases.push_back({"decode", "scratch",
+    // The stored check words now match the payload, so correct_line runs
+    // the clean path (the hot case in the simulator).
+    cases.push_back({"correct", "correct_line",
                      timed(lines, kWords,
                            [&](u64) {
-                             lc.decode(line.data, line.check, out);
-                             return out[0];
+                             return ecc::correct_line(*codec, data, check)
+                                 .corrected_mask;
                            }),
                      true});
 
     for (const auto& c : cases) {
       table.add_row({name, c.op, c.api, rate(c.m.words_per_sec),
                      TextTable::fmt(c.m.allocs_per_call, 2)});
-      if (c.is_scratch && c.m.allocs_per_call > 0.0) scratch_allocated = true;
+      if (c.must_not_allocate && c.m.allocs_per_call > 0.0) allocated = true;
       JsonValue metrics = JsonValue::object();
       metrics.set("words_per_sec", JsonValue::number(c.m.words_per_sec));
       metrics.set("allocs_per_call", JsonValue::number(c.m.allocs_per_call));
@@ -213,8 +189,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.render().c_str());
-  std::printf("\nscratch-API allocations per encode/decode: %s\n",
-              scratch_allocated ? "NONZERO (regression!)" : "zero");
+  std::printf("\nbatched encode / correct_line allocations per call: %s\n",
+              allocated ? "NONZERO (regression!)" : "zero");
   std::printf("batched vs scalar equivalence: %s\n",
               equivalence_broken ? "BROKEN (regression!)" : "bit-exact");
   std::printf("secded batched/scalar encode speedup: %.2fx", secded_speedup);
@@ -232,5 +208,5 @@ int main(int argc, char** argv) {
                  secded_speedup, min_secded_speedup);
     return 1;
   }
-  return scratch_allocated ? 1 : 0;
+  return allocated ? 1 : 0;
 }

@@ -8,7 +8,6 @@
 // cleaning/ECC-eviction write-backs can cost IPC.
 #pragma once
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace aeep::mem {

@@ -1,10 +1,10 @@
 #include "protect/non_uniform.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "common/bitops.hpp"
+#include "ecc/correct_line.hpp"
 
 namespace aeep::protect {
 
@@ -65,27 +65,12 @@ ReadCheck NonUniformScheme::check_read(u64 set, unsigned way,
     // §3.3: "Otherwise, ECC is used for error detection and correction."
     assert(ecc_valid_[line_slot(set, way)]);
     u64* check = ecc_.data() + line_slot(set, way) * words_;
-    // Batched clean scan; only flagged words take the scalar decoder.
-    for (u64 mm = secded().mismatch_mask(data, {check, words_}); mm != 0;
-         mm &= mm - 1) {
-      const auto w = static_cast<unsigned>(std::countr_zero(mm));
-      const ecc::DecodeResult r = secded().decode(data[w], check[w]);
-      switch (r.status) {
-        case ecc::DecodeStatus::kOk:
-          break;
-        case ecc::DecodeStatus::kCorrectedSingle:
-          data[w] = r.data;
-          check[w] = r.check;
-          // Keep the parity bit consistent with the repaired word.
-          encode_parity(set, way, u64{1} << w);
-          ++out.words_corrected;
-          break;
-        case ecc::DecodeStatus::kDetectedError:
-        case ecc::DecodeStatus::kDetectedDouble:
-          ++out.words_detected;
-          break;
-      }
-    }
+    const ecc::LineCorrection c =
+        ecc::correct_line(secded(), data, {check, words_});
+    // Keep the parity bits consistent with the repaired words.
+    if (c.corrected_mask != 0) encode_parity(set, way, c.corrected_mask);
+    out.words_corrected = popcount64(c.corrected_mask);
+    out.words_detected = c.detected;
     if (out.words_detected > 0)
       out.outcome = ReadOutcome::kUncorrectable;
     else if (out.words_corrected > 0)

@@ -1,9 +1,9 @@
 #include "protect/shared_ecc_array.hpp"
 
-#include <bit>
 #include <cassert>
 
 #include "common/bitops.hpp"
+#include "ecc/correct_line.hpp"
 
 namespace aeep::protect {
 
@@ -113,26 +113,12 @@ ReadCheck SharedEccArrayScheme::check_read(u64 set, unsigned way,
     const unsigned idx =
         static_cast<unsigned>(e - (entries_.data() + set * entries_per_set_));
     u64* check = entry_check(set, idx);
-    // Batched clean scan; only flagged words take the scalar decoder.
-    for (u64 mm = secded().mismatch_mask(data, {check, words_}); mm != 0;
-         mm &= mm - 1) {
-      const auto w = static_cast<unsigned>(std::countr_zero(mm));
-      const ecc::DecodeResult r = secded().decode(data[w], check[w]);
-      switch (r.status) {
-        case ecc::DecodeStatus::kOk:
-          break;
-        case ecc::DecodeStatus::kCorrectedSingle:
-          data[w] = r.data;
-          check[w] = r.check;
-          encode_parity(set, way, u64{1} << w);
-          ++out.words_corrected;
-          break;
-        case ecc::DecodeStatus::kDetectedError:
-        case ecc::DecodeStatus::kDetectedDouble:
-          ++out.words_detected;
-          break;
-      }
-    }
+    const ecc::LineCorrection c =
+        ecc::correct_line(secded(), data, {check, words_});
+    // Keep the parity bits consistent with the repaired words.
+    if (c.corrected_mask != 0) encode_parity(set, way, c.corrected_mask);
+    out.words_corrected = popcount64(c.corrected_mask);
+    out.words_detected = c.detected;
     if (out.words_detected > 0)
       out.outcome = ReadOutcome::kUncorrectable;
     else if (out.words_corrected > 0)

@@ -1,8 +1,7 @@
 #include "protect/uniform_ecc.hpp"
 
-#include <bit>
-
 #include "common/bitops.hpp"
+#include "ecc/correct_line.hpp"
 
 namespace aeep::protect {
 
@@ -40,27 +39,10 @@ ReadCheck UniformEccScheme::check_read(u64 set, unsigned way,
   ReadCheck out;
   auto data = cache().data(set, way);
   u64* check = ecc_.data() + line_slot(set, way) * words_;
-  // Batched clean scan: only words whose stored check disagrees with a
-  // re-encode enter the scalar syndrome decoder (a clean word decodes to
-  // kOk, which the old per-word loop treated as a no-op anyway).
-  for (u64 mm = secded().mismatch_mask(data, {check, words_}); mm != 0;
-       mm &= mm - 1) {
-    const auto w = static_cast<unsigned>(std::countr_zero(mm));
-    const ecc::DecodeResult r = secded().decode(data[w], check[w]);
-    switch (r.status) {
-      case ecc::DecodeStatus::kOk:
-        break;
-      case ecc::DecodeStatus::kCorrectedSingle:
-        data[w] = r.data;
-        check[w] = r.check;
-        ++out.words_corrected;
-        break;
-      case ecc::DecodeStatus::kDetectedError:
-      case ecc::DecodeStatus::kDetectedDouble:
-        ++out.words_detected;
-        break;
-    }
-  }
+  const ecc::LineCorrection c =
+      ecc::correct_line(secded(), data, {check, words_});
+  out.words_corrected = popcount64(c.corrected_mask);
+  out.words_detected = c.detected;
   if (out.words_detected > 0) {
     // A clean line with an uncorrectable (but detected) error can still be
     // recovered by re-fetching from memory — the dirty case is the true DUE.

@@ -250,7 +250,7 @@ TEST(EccAlloc, NestedTemplateArgsHandled) {
 
 TEST(EccAlloc, AllocSuffixAndOtherNamesQuiet) {
   EXPECT_FALSE(fired("src/ecc/parity.hpp",
-                     "std::vector<u8> encode_alloc(const u8* in);",
+                     "std::vector<u8> encode_line_alloc(const u8* in);",
                      "ecc-allocating-codec"));
   EXPECT_FALSE(fired("src/ecc/parity.hpp",
                      "std::vector<u8> syndromes(const u8* in);",

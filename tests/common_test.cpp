@@ -1,6 +1,6 @@
-// Tests for the common substrate: bit utilities, RNG and Zipf sampling,
-// statistics primitives (including the cycle-exact time-weighted level used
-// for the dirty-lines-per-cycle metric), CLI parsing and table rendering.
+// Tests for the common substrate: bit utilities, RNG and Zipf sampling, the
+// cycle-exact time-weighted level used for the dirty-lines-per-cycle metric,
+// CLI parsing and table rendering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,28 +116,6 @@ TEST(Zipf, UniformWhenExponentZero) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, 0.01, 0.004);
 }
 
-TEST(Stats, CounterBasics) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(9);
-  EXPECT_EQ(c.value(), 10u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, RunningMeanTracksMinMax) {
-  RunningMean m;
-  EXPECT_EQ(m.mean(), 0.0);
-  m.add(2.0);
-  m.add(4.0);
-  m.add(9.0);
-  EXPECT_DOUBLE_EQ(m.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(m.min(), 2.0);
-  EXPECT_DOUBLE_EQ(m.max(), 9.0);
-  EXPECT_EQ(m.count(), 3u);
-}
-
 TEST(Stats, TimeWeightedLevelIsExact) {
   TimeWeightedLevel l;
   l.reset(0, 0.0);
@@ -156,30 +134,6 @@ TEST(Stats, TimeWeightedLevelSameCycleUpdates) {
   l.update(5, 3.0);  // instantaneous change, no weight at level 1
   l.update(15, 3.0);
   EXPECT_DOUBLE_EQ(l.average(), 3.0);
-}
-
-TEST(Stats, HistogramBucketsAndPercentile) {
-  Histogram h(10, 10);  // buckets [0,10) .. [90,100) + overflow
-  for (u64 v = 0; v < 100; ++v) h.add(v);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.bucket(0), 10u);
-  EXPECT_EQ(h.bucket(9), 10u);
-  EXPECT_EQ(h.percentile(0.5), 50u);
-  h.add(1000, 5);  // overflow bucket
-  EXPECT_EQ(h.bucket(10), 5u);
-}
-
-TEST(Stats, RegistryAggregates) {
-  StatRegistry reg;
-  reg.counter("l2.wb.clean").inc(3);
-  reg.counter("l2.wb.ecc").inc(5);
-  reg.running_mean("ipc").add(1.5);
-  const auto cs = reg.counters();
-  ASSERT_EQ(cs.size(), 2u);
-  EXPECT_EQ(cs[0].first, "l2.wb.clean");
-  EXPECT_EQ(cs[0].second, 3u);
-  reg.reset_all();
-  EXPECT_EQ(reg.counter("l2.wb.clean").value(), 0u);
 }
 
 TEST(Cli, ParsesKeyValueAndFlags) {

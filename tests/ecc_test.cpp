@@ -1,6 +1,7 @@
 // Tests for the error-code implementations: parity, byte parity, and the
 // SECDED(72,64) extended Hamming code — including exhaustive single-bit
-// correction over all codeword positions and double-bit detection sweeps.
+// correction over all codeword positions and double-bit detection sweeps —
+// and the whole-line correct_line routine every protection scheme uses.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,7 +9,7 @@
 
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
-#include "ecc/line_codec.hpp"
+#include "ecc/correct_line.hpp"
 #include "ecc/parity.hpp"
 #include "ecc/secded.hpp"
 
@@ -208,76 +209,63 @@ TEST(Secded, CheckBitsDifferAcrossNeighbouringWords) {
 }
 
 // ---------------------------------------------------------------------------
-// Line codec
+// Line correction
 // ---------------------------------------------------------------------------
 
-TEST(LineCodec, RoundTripsCleanLine) {
+TEST(CorrectLine, RoundTripsCleanLine) {
   SecdedCodec secded;
-  LineCodec lc(secded, 64);
-  EXPECT_EQ(lc.words_per_line(), 8u);
-  EXPECT_EQ(lc.check_bits_per_line(), 64u);
-
   Xorshift64Star rng(31);
-  ProtectedLine line;
-  for (int w = 0; w < 8; ++w) line.data.push_back(rng.next());
-  line.check = lc.encode_alloc(line.data);
+  std::vector<u64> data(8), check(8);
+  for (auto& w : data) w = rng.next();
+  secded.encode_batch(data, check);
+  const std::vector<u64> golden_data = data, golden_check = check;
 
-  const auto r = lc.decode_alloc(line);
-  EXPECT_EQ(r.worst, DecodeStatus::kOk);
-  EXPECT_EQ(r.words_ok, 8u);
-  EXPECT_EQ(r.data, line.data);
+  EXPECT_EQ(correct_line(secded, data, check), LineCorrection{});
+  EXPECT_EQ(data, golden_data);
+  EXPECT_EQ(check, golden_check);
 }
 
-TEST(LineCodec, CorrectsScatteredSingleBitErrors) {
+TEST(CorrectLine, CorrectsScatteredSingleBitErrors) {
   SecdedCodec secded;
-  LineCodec lc(secded, 64);
   Xorshift64Star rng(32);
-  ProtectedLine line;
-  for (int w = 0; w < 8; ++w) line.data.push_back(rng.next());
-  const std::vector<u64> golden = line.data;
-  line.check = lc.encode_alloc(line.data);
+  std::vector<u64> data(8), check(8);
+  for (auto& w : data) w = rng.next();
+  const std::vector<u64> golden = data;
+  secded.encode_batch(data, check);
 
   // One flip in every word: all corrected independently.
-  for (int w = 0; w < 8; ++w)
-    line.data[w] = flip_bit(line.data[w], static_cast<unsigned>(rng.next_below(64)));
+  for (auto& w : data)
+    w = flip_bit(w, static_cast<unsigned>(rng.next_below(64)));
 
-  const auto r = lc.decode_alloc(line);
-  EXPECT_EQ(r.worst, DecodeStatus::kCorrectedSingle);
-  EXPECT_EQ(r.words_corrected, 8u);
-  EXPECT_EQ(r.data, golden);
+  const LineCorrection r = correct_line(secded, data, check);
+  EXPECT_EQ(r.corrected_mask, 0xFFu);
+  EXPECT_EQ(r.detected, 0u);
+  EXPECT_EQ(data, golden);
 }
 
-TEST(LineCodec, ReportsWorstStatusAcrossWords) {
+TEST(CorrectLine, CountsCorrectedAndDetectedWords) {
   SecdedCodec secded;
-  LineCodec lc(secded, 64);
-  ProtectedLine line;
-  for (int w = 0; w < 8; ++w) line.data.push_back(0x1111111111111111ull * (w + 1));
-  line.check = lc.encode_alloc(line.data);
-  line.data[2] = flip_bit(line.data[2], 5);                       // single
-  line.data[6] = flip_bit(flip_bit(line.data[6], 1), 60);         // double
+  std::vector<u64> data(8), check(8);
+  for (unsigned w = 0; w < 8; ++w) data[w] = 0x1111111111111111ull * (w + 1);
+  secded.encode_batch(data, check);
+  const u64 golden2 = data[2], golden6 = data[6];
+  data[2] = flip_bit(data[2], 5);                // single
+  data[6] = flip_bit(flip_bit(data[6], 1), 60);  // double
 
-  const auto r = lc.decode_alloc(line);
-  EXPECT_EQ(r.worst, DecodeStatus::kDetectedDouble);
-  EXPECT_EQ(r.words_corrected, 1u);
-  EXPECT_EQ(r.words_detected, 1u);
-  EXPECT_EQ(r.words_ok, 6u);
-}
-
-TEST(LineCodec, RejectsBadLineSize) {
-  SecdedCodec secded;
-  EXPECT_THROW(LineCodec(secded, 0), std::invalid_argument);
-  EXPECT_THROW(LineCodec(secded, 7), std::invalid_argument);
-  EXPECT_NO_THROW(LineCodec(secded, 32));
+  const LineCorrection r = correct_line(secded, data, check);
+  EXPECT_EQ(r.corrected_mask, u64{1} << 2);
+  EXPECT_EQ(r.detected, 1u);
+  EXPECT_EQ(data[2], golden2);
+  EXPECT_NE(data[6], golden6);  // a detected word is left as stored
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-buffer API equivalence: the allocation-free encode/decode overloads
-// must agree exactly with the legacy allocating API across all three codecs,
-// on clean lines and on lines with corrected / detected errors.
+// correct_line against the per-word reference: for every codec, on clean
+// lines and on lines with corrected / detected errors, the result must be
+// exactly what decoding each word on its own with WordCodec::decode gives.
 // ---------------------------------------------------------------------------
 
-class LineCodecScratchEquivalence
-    : public ::testing::TestWithParam<const char*> {
+class CorrectLineEquivalence : public ::testing::TestWithParam<const char*> {
  protected:
   const WordCodec& codec() {
     const std::string which = GetParam();
@@ -286,31 +274,26 @@ class LineCodecScratchEquivalence
     return secded_;
   }
 
+  /// Per-word reference encode.
+  std::vector<u64> encode_words(const std::vector<u64>& data) {
+    std::vector<u64> check(data.size());
+    for (std::size_t w = 0; w < data.size(); ++w)
+      check[w] = codec().encode(data[w]);
+    return check;
+  }
+
   ParityCodec parity_;
   ByteParityCodec byte_parity_;
   SecdedCodec secded_;
 };
 
-TEST_P(LineCodecScratchEquivalence, EncodeMatchesAllocOnRandomLines) {
-  LineCodec lc(codec(), 64);
-  Xorshift64Star rng(41);
-  std::vector<u64> data(8), check(8);
+TEST_P(CorrectLineEquivalence, MatchesPerWordReferenceWithInjectedErrors) {
+  const WordCodec& c = codec();
+  Xorshift64Star rng(42);
+  std::vector<u64> data(8);
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
-    lc.encode(data, check);
-    EXPECT_EQ(check, lc.encode_alloc(data));
-  }
-}
-
-TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
-  LineCodec lc(codec(), 64);
-  Xorshift64Star rng(42);
-  ProtectedLine line;
-  line.data.resize(8);
-  std::vector<u64> scratch_out(8);
-  for (int iter = 0; iter < 200; ++iter) {
-    for (auto& w : line.data) w = rng.next();
-    line.check = lc.encode_alloc(line.data);
+    std::vector<u64> check = encode_words(data);
 
     // Exercise every path: clean, single flip (corrected by SECDED,
     // detected by the parity codecs), double flip in one word (detected by
@@ -318,48 +301,63 @@ TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
     const unsigned mode = static_cast<unsigned>(iter) % 3;
     if (mode >= 1) {
       const unsigned w = static_cast<unsigned>(rng.next_below(8));
-      line.data[w] = flip_bit(line.data[w],
-                              static_cast<unsigned>(rng.next_below(64)));
+      data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
       if (mode == 2) {
         const unsigned b1 = static_cast<unsigned>(rng.next_below(63));
-        line.data[w] = flip_bit(line.data[w], b1 + 1);
+        data[w] = flip_bit(data[w], b1 + 1);
       }
     }
 
-    const LineDecodeResult alloc = lc.decode_alloc(line);
-    const LineDecodeSummary scratch =
-        lc.decode(line.data, line.check, scratch_out);
-    EXPECT_EQ(scratch.worst, alloc.worst);
-    EXPECT_EQ(scratch.words_ok, alloc.words_ok);
-    EXPECT_EQ(scratch.words_corrected, alloc.words_corrected);
-    EXPECT_EQ(scratch.words_detected, alloc.words_detected);
-    EXPECT_EQ(scratch_out, alloc.data);
-  }
-}
-
-TEST_P(LineCodecScratchEquivalence, DecodeInPlaceAliasingRepairsLine) {
-  LineCodec lc(codec(), 64);
-  Xorshift64Star rng(43);
-  ProtectedLine line;
-  line.data.resize(8);
-  for (int iter = 0; iter < 100; ++iter) {
-    for (auto& w : line.data) w = rng.next();
-    line.check = lc.encode_alloc(line.data);
-    if (iter % 2 == 1) {
-      const unsigned w = static_cast<unsigned>(rng.next_below(8));
-      line.data[w] = flip_bit(line.data[w],
-                              static_cast<unsigned>(rng.next_below(64)));
+    std::vector<u64> want_data = data, want_check = check;
+    LineCorrection want;
+    for (unsigned w = 0; w < 8; ++w) {
+      const DecodeResult r = c.decode(data[w], check[w]);
+      if (r.status == DecodeStatus::kCorrectedSingle) {
+        want_data[w] = r.data;
+        want_check[w] = r.check;
+        want.corrected_mask |= u64{1} << w;
+      } else if (r.status != DecodeStatus::kOk) {
+        ++want.detected;
+      }
     }
-    const LineDecodeResult alloc = lc.decode_alloc(line);
-    // data_out aliases data: decode must leave the corrected payload there.
-    const LineDecodeSummary scratch =
-        lc.decode(line.data, line.check, line.data);
-    EXPECT_EQ(scratch.worst, alloc.worst);
-    EXPECT_EQ(line.data, alloc.data);
+
+    EXPECT_EQ(correct_line(c, data, check), want);
+    EXPECT_EQ(data, want_data);
+    EXPECT_EQ(check, want_check);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCodecs, LineCodecScratchEquivalence,
+TEST_P(CorrectLineEquivalence, RepairsLineInPlace) {
+  const WordCodec& c = codec();
+  Xorshift64Star rng(43);
+  std::vector<u64> data(8);
+  for (int iter = 0; iter < 100; ++iter) {
+    for (auto& w : data) w = rng.next();
+    std::vector<u64> check = encode_words(data);
+    const std::vector<u64> golden = data;
+    const unsigned w = static_cast<unsigned>(rng.next_below(8));
+    if (iter % 2 == 1)
+      data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
+
+    const LineCorrection r = correct_line(c, data, check);
+    if (iter % 2 == 0) {
+      EXPECT_EQ(r, LineCorrection{});
+      EXPECT_EQ(data, golden);
+    } else if (c.corrects_single()) {
+      // The line is repaired where it lies, and a second pass finds it clean.
+      EXPECT_EQ(r.corrected_mask, u64{1} << w);
+      EXPECT_EQ(data, golden);
+      EXPECT_EQ(check, encode_words(golden));
+      EXPECT_EQ(correct_line(c, data, check), LineCorrection{});
+    } else {
+      EXPECT_EQ(r.corrected_mask, 0u);
+      EXPECT_EQ(r.detected, 1u);
+      EXPECT_NE(data, golden);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCodecs, CorrectLineEquivalence,
                          ::testing::Values("parity", "byte-parity", "secded"));
 
 // ---------------------------------------------------------------------------
@@ -456,44 +454,6 @@ TEST(ByteParityCodec, SwarEncodeMatchesReferenceLoop) {
     }
     EXPECT_EQ(c.encode(x), ref) << "word " << std::hex << x;
   }
-}
-
-TEST(LineCodec, EncodeDirtyReencodesExactlyTheDirtyWords) {
-  SecdedCodec secded;
-  LineCodec lc(secded, 64);
-  Xorshift64Star rng(81);
-  std::vector<u64> data(8), check(8);
-  for (int iter = 0; iter < 200; ++iter) {
-    for (auto& w : data) w = rng.next();
-    lc.encode(data, check);
-
-    // Mutate a random subset and refresh only those words' codes.
-    const u64 dirty = rng.next() & 0xFF;
-    const std::vector<u64> stale_check = check;
-    for (unsigned w = 0; w < 8; ++w)
-      if (dirty & (u64{1} << w)) data[w] = rng.next();
-    lc.encode_dirty(data, dirty, check);
-
-    for (unsigned w = 0; w < 8; ++w) {
-      if (dirty & (u64{1} << w))
-        EXPECT_EQ(check[w], secded.encode(data[w]));
-      else
-        EXPECT_EQ(check[w], stale_check[w]);
-    }
-    // The refreshed line must decode clean end to end.
-    std::vector<u64> out(8);
-    EXPECT_EQ(lc.decode(data, check, out).worst, DecodeStatus::kOk);
-    EXPECT_EQ(out, data);
-  }
-}
-
-TEST(LineCodec, WorseOrdersSeverity) {
-  EXPECT_EQ(worse(DecodeStatus::kOk, DecodeStatus::kCorrectedSingle),
-            DecodeStatus::kCorrectedSingle);
-  EXPECT_EQ(worse(DecodeStatus::kDetectedDouble, DecodeStatus::kCorrectedSingle),
-            DecodeStatus::kDetectedDouble);
-  EXPECT_EQ(worse(DecodeStatus::kDetectedError, DecodeStatus::kOk),
-            DecodeStatus::kDetectedError);
 }
 
 }  // namespace

@@ -186,6 +186,23 @@ TEST_F(SchemeTest, NonUniformDirtyLineEccCorrects) {
   EXPECT_EQ(cache_.data(0, 1)[2], golden);
 }
 
+TEST_F(SchemeTest, NonUniformDirtyCorrectionReencodesParity) {
+  NonUniformScheme s(cache_);
+  install(0, 1, 4);
+  s.on_fill(0, 1);
+  cache_.mark_dirty(0, 1);
+  cache_.data(0, 1)[2] = 0x1234;
+  s.on_write_applied(0, 1, u64{1} << 2);
+  // One strike flips a data bit and the parity bit of the same word.
+  cache_.data(0, 1)[2] = flip_bit(0x1234, 9);
+  s.parity_words(0, 1)[2] ^= 1;
+  EXPECT_EQ(s.check_read(0, 1, memory_).outcome, ReadOutcome::kCorrected);
+  const auto data = cache_.data(0, 1);
+  for (unsigned w = 0; w < 8; ++w)
+    EXPECT_EQ(s.parity_words(0, 1)[w], ecc::ParityCodec{}.encode(data[w]))
+        << "word " << w;
+}
+
 TEST_F(SchemeTest, NonUniformTracksPeakDirty) {
   NonUniformScheme s(cache_);
   for (unsigned w = 0; w < 3; ++w) {
@@ -333,6 +350,24 @@ TEST_F(SchemeTest, SharedArrayDirtyLineCorrectsViaSharedEntry) {
   cache_.data(3, 2)[7] = flip_bit(0xFEED, 3);
   EXPECT_EQ(s.check_read(3, 2, memory_).outcome, ReadOutcome::kCorrected);
   EXPECT_EQ(cache_.data(3, 2)[7], 0xFEEDu);
+}
+
+TEST_F(SchemeTest, SharedArrayDirtyCorrectionReencodesParity) {
+  SharedEccArrayScheme s(cache_, 1);
+  install(3, 2, 9);
+  s.on_fill(3, 2);
+  EXPECT_FALSE(s.before_dirty(3, 2).has_value());
+  cache_.mark_dirty(3, 2);
+  cache_.data(3, 2)[7] = 0xFEED;
+  s.on_write_applied(3, 2, u64{1} << 7);
+  // One strike flips a data bit and the parity bit of the same word.
+  cache_.data(3, 2)[7] = flip_bit(0xFEED, 3);
+  s.parity_words(3, 2)[7] ^= 1;
+  EXPECT_EQ(s.check_read(3, 2, memory_).outcome, ReadOutcome::kCorrected);
+  const auto data = cache_.data(3, 2);
+  for (unsigned w = 0; w < 8; ++w)
+    EXPECT_EQ(s.parity_words(3, 2)[w], ecc::ParityCodec{}.encode(data[w]))
+        << "word " << w;
 }
 
 TEST_F(SchemeTest, SharedArrayEvictReleasesEntry) {

@@ -1,36 +1,39 @@
 #!/usr/bin/env python3
-"""Compare the key structure of two bench --json files.
+"""Compare two bench --json files: key structure and every value.
 
-CI runs a short smoke sweep and diffs its JSON *shape* against the committed
-BENCH_sweep.json so schema drift (renamed metrics, dropped config keys, a
-changed cells layout) fails the build even though the metric *values*
-legitimately differ between machines and runs.
+CI runs the smoke sweep with the exact configuration of the committed
+BENCH_sweep.json and compares the fresh JSON against it. The simulator is
+deterministic, so every metric must reproduce bit for bit: schema drift
+(renamed metrics, dropped config keys, a changed cells layout) and any
+changed value both fail the build.
 
 Usage: check_bench_schema.py BASELINE.json FRESH.json
        check_bench_schema.py --self-test
 
 Rules:
   - Both files must declare schema_version == EXPECTED_SCHEMA_VERSION (2:
-    v2 added the per-cell wall_clock_seconds field). Values are pinned for
-    this key only — everywhere else values may differ.
+    v2 added the per-cell wall_clock_seconds field).
   - Objects must have exactly the same key sets, recursively. Every missing
     or unexpected key is reported on its own line with its exact full path
     (e.g. `$.config.frontend: missing in fresh`), so the offending key can
     be grepped straight out of the bench source.
-  - Arrays are compared element-wise against the baseline's first element
-    (cells all share one shape; an empty fresh array is a failure when the
-    baseline has elements).
-  - Leaf types must match (number vs string vs bool vs null), except that a
-    baseline number matches any fresh number.
-Exits 0 when the shapes match, 1 with a per-path diff otherwise.
-`--self-test` runs the checker against built-in fixtures (CI invokes it so
-a broken checker cannot silently wave drift through).
+  - Arrays must have the same length and are compared element by element.
+  - Leaf types must match (number vs string vs bool vs null), and every
+    leaf value must equal the baseline's, except under the keys in
+    UNPINNED_KEYS (host time, build revision and worker count), whose
+    values may differ but whose types may not.
+Exits 0 when shape and values match, 1 with a per-path diff otherwise.
+`--self-test` runs the checker against built-in fixtures (CI and ctest
+invoke it so a broken checker cannot silently wave drift through).
 """
 
 import json
 import sys
 
 EXPECTED_SCHEMA_VERSION = 2
+
+# Keys whose values legitimately differ between runs of the same config.
+UNPINNED_KEYS = frozenset({"wall_clock_seconds", "git_rev", "jobs"})
 
 
 def type_name(v):
@@ -49,7 +52,7 @@ def type_name(v):
     return type(v).__name__
 
 
-def diff_shapes(base, fresh, path, errors):
+def diff_docs(base, fresh, path, errors, pinned=True):
     bt, ft = type_name(base), type_name(fresh)
     if bt != ft:
         errors.append(f"{path}: baseline is {bt}, fresh is {ft}")
@@ -60,13 +63,17 @@ def diff_shapes(base, fresh, path, errors):
         for key in sorted(set(fresh) - set(base)):
             errors.append(f"{path}.{key}: unexpected in fresh")
         for key in sorted(set(base) & set(fresh)):
-            diff_shapes(base[key], fresh[key], f"{path}.{key}", errors)
+            diff_docs(base[key], fresh[key], f"{path}.{key}", errors,
+                      pinned and key not in UNPINNED_KEYS)
     elif bt == "array":
-        if base and not fresh:
-            errors.append(f"{path}: baseline has elements, fresh is empty")
-        elif base:
-            for i, elem in enumerate(fresh):
-                diff_shapes(base[0], elem, f"{path}[{i}]", errors)
+        if len(base) != len(fresh):
+            errors.append(f"{path}: baseline has {len(base)} elements, "
+                          f"fresh has {len(fresh)}")
+        for i, (b, f) in enumerate(zip(base, fresh)):
+            diff_docs(b, f, f"{path}[{i}]", errors, pinned)
+    elif pinned and base != fresh:
+        errors.append(f"{path}: baseline {json.dumps(base)}, "
+                      f"fresh {json.dumps(fresh)}")
 
 
 def check_schema_version(doc, label, errors):
@@ -81,8 +88,36 @@ def check_schema_version(doc, label, errors):
 def self_test():
     """Fixture pairs: (baseline, fresh, expected error lines)."""
     cases = [
-        ({"a": 1, "b": "x"}, {"a": 2.5, "b": "y"}, []),
+        ({"a": 1, "b": "x"}, {"a": 1.0, "b": "x"}, []),
         ({"a": 1}, {"a": "s"}, ["$.a: baseline is number, fresh is string"]),
+        # Values are pinned: a changed number, string or bool is drift.
+        (
+            {"cells": [{"tag": "a", "m": {"ipc": 0.5, "wb": 404}}]},
+            {"cells": [{"tag": "a", "m": {"ipc": 0.5000001, "wb": 405}}]},
+            [
+                "$.cells[0].m.ipc: baseline 0.5, fresh 0.5000001",
+                "$.cells[0].m.wb: baseline 404, fresh 405",
+            ],
+        ),
+        (
+            {"experiment": "fig3_4", "ok": True},
+            {"experiment": "fig7_8", "ok": False},
+            [
+                '$.experiment: baseline "fig3_4", fresh "fig7_8"',
+                "$.ok: baseline true, fresh false",
+            ],
+        ),
+        # Host time, build revision and worker count are not pinned, at any
+        # depth, but their types still are.
+        (
+            {"git_rev": "aef4ae8", "jobs": 1, "wall_clock_seconds": 3.9,
+             "cells": [{"wall_clock_seconds": 0.1, "m": {"ipc": 1.0}}]},
+            {"git_rev": "f6e4cf1", "jobs": 4, "wall_clock_seconds": 1.2,
+             "cells": [{"wall_clock_seconds": 0.3, "m": {"ipc": 1.0}}]},
+            [],
+        ),
+        ({"jobs": 1}, {"jobs": "4"},
+         ["$.jobs: baseline is number, fresh is string"]),
         (
             {"config": {"seed": 1, "frontend": "exec"}},
             {"config": {"seed": 1}},
@@ -95,12 +130,12 @@ def self_test():
         ),
         (
             {"cells": [{"tag": "a", "m": {"ipc": 1.0}}]},
-            {"cells": [{"tag": "b", "m": {"ipc": 2.0}},
+            {"cells": [{"tag": "a", "m": {"ipc": 1.0}},
                        {"tag": "c", "m": {}}]},
-            ["$.cells[1].m.ipc: missing in fresh"],
+            ["$.cells: baseline has 1 elements, fresh has 2"],
         ),
         ({"cells": [1]}, {"cells": []},
-         ["$.cells: baseline has elements, fresh is empty"]),
+         ["$.cells: baseline has 1 elements, fresh has 0"]),
         (
             {"x": {"deep": {"gone": 1, "also_gone": 2}}},
             {"x": {"deep": {"added": 3}}},
@@ -135,7 +170,7 @@ def self_test():
     failed = 0
     for i, (base, fresh, expected) in enumerate(cases):
         errors = []
-        diff_shapes(base, fresh, "$", errors)
+        diff_docs(base, fresh, "$", errors)
         if errors != expected:
             failed += 1
             print(f"self-test case {i} FAILED:", file=sys.stderr)
@@ -172,13 +207,13 @@ def main(argv):
     errors = []
     check_schema_version(base, "baseline", errors)
     check_schema_version(fresh, "fresh", errors)
-    diff_shapes(base, fresh, "$", errors)
+    diff_docs(base, fresh, "$", errors)
     if errors:
-        print(f"bench schema drift vs {argv[1]}:")
+        print(f"bench JSON differs from {argv[1]}:")
         for e in errors:
             print(f"  {e}")
         return 1
-    print(f"bench schema matches {argv[1]}")
+    print(f"bench JSON matches {argv[1]} (schema and values)")
     return 0
 
 
