@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       total += r.wb_per_ls();
       ipc += r.ipc();
       json.add_cell(benchmarks[b], policies[p].label,
-                    bench::run_result_metrics(r));
+                    sim::run_result_json(r));
     }
     table.add_row({policies[p].label, TextTable::pct(dirty / n, 1),
                    TextTable::pct(cleanwb / n, 2), TextTable::pct(total / n, 2),

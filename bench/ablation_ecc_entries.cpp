@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       total += r.wb_per_ls();
       ipc += r.ipc();
       json.add_cell(benchmarks[b], "k=" + std::to_string(k),
-                    bench::run_result_metrics(r));
+                    sim::run_result_json(r));
     }
     const auto area = protect::proposed_area(cache::kL2Geometry, k);
     table.add_row({std::to_string(k),

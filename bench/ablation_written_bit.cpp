@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
                    TextTable::pct(with_bit.wb_per_ls(), 2),
                    TextTable::pct(naive.wb_per_ls(), 2)});
     json.add_cell(benchmarks[i], "written-bit",
-                  bench::run_result_metrics(with_bit));
-    json.add_cell(benchmarks[i], "naive", bench::run_result_metrics(naive));
+                  sim::run_result_json(with_bit));
+    json.add_cell(benchmarks[i], "naive", sim::run_result_json(naive));
   }
   const double n = static_cast<double>(benchmarks.size());
   table.add_row({"average", TextTable::pct(sd_wb / n, 1),

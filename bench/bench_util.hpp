@@ -95,15 +95,15 @@ inline std::vector<sim::RunResult> run_sweep(
                  e.what());
     std::exit(1);
   }
-  std::vector<sim::RunResult> results = store::run_grid_cached(
-      runner, grid, cache.get(), sim::stderr_progress(), wall_seconds);
+  std::vector<sim::SweepOutcome> outcomes = store::run_grid_cached(
+      runner, grid, cache.get(), sim::stderr_progress());
   const store::SweepCacheStats s = cache->stats();
   std::fprintf(stderr, "store: hits=%llu misses=%llu inserts=%llu (%s)\n",
                static_cast<unsigned long long>(s.hits),
                static_cast<unsigned long long>(s.misses),
                static_cast<unsigned long long>(s.inserts),
                o.store_dir.c_str());
-  return results;
+  return sim::results_or_throw(grid, std::move(outcomes), wall_seconds);
 }
 
 inline std::vector<std::string> suite_benchmarks(const std::string& suite) {

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                    TextTable::pct(r.avg_dirty_fraction),
                    std::to_string(r.avg_dirty_lines),
                    TextTable::pct(l2_miss), TextTable::fmt(r.ipc(), 3)});
-    json.add_cell(benchmarks[i], "baseline", bench::run_result_metrics(r));
+    json.add_cell(benchmarks[i], "baseline", sim::run_result_json(r));
   }
   std::printf("%s", table.render().c_str());
   std::printf("\naverage dirty lines/cycle: %s   (paper: 51.6%%)\n",

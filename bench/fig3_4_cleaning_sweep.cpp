@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       sums[k] += r.avg_dirty_fraction;
       row.push_back(TextTable::pct(r.avg_dirty_fraction, 1));
       json.add_cell(benchmarks[b], grid[b * cols + k].tag,
-                    bench::run_result_metrics(r), cell_walls[b * cols + k]);
+                    sim::run_result_json(r), cell_walls[b * cols + k]);
     }
     table.add_row(std::move(row));
   }

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
                    TextTable::pct(b.avg_dirty_fraction, 1),
                    TextTable::pct(r.avg_dirty_fraction, 1),
                    std::to_string(r.peak_dirty_lines)});
-    json.add_cell(benchmarks[i], "baseline", bench::run_result_metrics(b));
-    json.add_cell(benchmarks[i], "proposed", bench::run_result_metrics(r));
+    json.add_cell(benchmarks[i], "baseline", sim::run_result_json(b));
+    json.add_cell(benchmarks[i], "proposed", sim::run_result_json(r));
   }
   std::printf("%s", table.render().c_str());
   std::printf("\naverage proposed dirty: %s   (paper: below 25%% everywhere;"

@@ -52,13 +52,6 @@ inline std::string git_short_rev() {
   return rev;
 }
 
-/// The per-run metrics every bench exports, in one stable key order —
-/// the same rendering the aeep_served wire protocol uses, so a bench cell
-/// and a server job result are key-for-key comparable.
-inline JsonValue run_result_metrics(const sim::RunResult& r) {
-  return sim::run_result_json(r);
-}
-
 /// Accumulates one bench invocation's results and writes the --json file.
 class JsonReporter {
  public:

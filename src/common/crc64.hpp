@@ -20,9 +20,6 @@ class Crc64 {
  public:
   void update(const void* data, std::size_t n);
   void update(const std::string& s) { update(s.data(), s.size()); }
-  /// Fold a little-endian u64 (fixed-width, so digests of digests are
-  /// well-defined regardless of host endianness).
-  void update_u64(u64 v);
 
   u64 value() const { return state_ ^ kInit; }
 

@@ -33,11 +33,6 @@ class JsonValue {
   static JsonValue array();
   static JsonValue object();
 
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const {
-    return kind_ == Kind::kUint || kind_ == Kind::kDouble;
-  }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }

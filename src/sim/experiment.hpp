@@ -76,13 +76,6 @@ std::string trace_path_for(const std::string& benchmark,
 RunResult run_benchmark(const std::string& benchmark,
                         const ExperimentOptions& opts);
 
-/// Run a list of benchmarks, returning results in order. `jobs` fans the
-/// runs out across a SweepRunner pool (0 = one worker per hardware thread,
-/// 1 = serial); results are ordered like `benchmarks` either way.
-std::vector<RunResult> run_suite(const std::vector<std::string>& benchmarks,
-                                 const ExperimentOptions& opts,
-                                 unsigned jobs = 1);
-
 /// Names of all / FP-only / INT-only benchmarks.
 std::vector<std::string> all_benchmarks();
 std::vector<std::string> fp_benchmarks();
@@ -94,14 +87,5 @@ std::vector<std::string> smoke_benchmarks();
 
 /// Human-readable Table-1 processor description (printed by bench headers).
 std::string table1_text();
-
-/// Arithmetic mean of a projection over results.
-template <typename Proj>
-double mean_of(const std::vector<RunResult>& rs, Proj proj) {
-  if (rs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : rs) sum += proj(r);
-  return sum / static_cast<double>(rs.size());
-}
 
 }  // namespace aeep::sim

@@ -69,11 +69,7 @@ class SweepRunner {
   std::vector<SweepOutcome> run(const std::vector<SweepJob>& grid,
                                 const ProgressFn& progress = nullptr) const;
 
-  /// Like run(), but rethrows the first job error (grid-position order) —
-  /// for callers that treat any failed cell as fatal, like the benches.
-  /// `wall_seconds` (optional) receives each job's own wall clock, indexed
-  /// like the grid — the benches feed it into the schema-v2 per-cell
-  /// wall_clock_seconds field.
+  /// run(), then results_or_throw(): any failed cell is fatal.
   std::vector<RunResult> run_or_throw(
       const std::vector<SweepJob>& grid, const ProgressFn& progress = nullptr,
       std::vector<double>* wall_seconds = nullptr) const;
@@ -84,6 +80,15 @@ class SweepRunner {
  private:
   unsigned jobs_;
 };
+
+/// The results of `outcomes` (indexed like `grid`), or the first job error
+/// (grid-position order) rethrown — for callers that treat any failed cell
+/// as fatal, like the benches. `wall_seconds` (optional) receives each
+/// job's own wall clock, indexed like the grid — the benches feed it into
+/// the schema-v2 per-cell wall_clock_seconds field.
+std::vector<RunResult> results_or_throw(const std::vector<SweepJob>& grid,
+                                        std::vector<SweepOutcome> outcomes,
+                                        std::vector<double>* wall_seconds);
 
 /// Progress callback rendering `[done/total] benchmark:tag` status lines to
 /// stderr (stderr so `--json`/table output stays clean for pipes).

@@ -60,6 +60,11 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
+/// Fill `r`'s L2 protection, recovery and per-structure statistics from a
+/// finalized hierarchy: the part of a RunResult that System::run and the
+/// trace replay driver assemble alike.
+void collect_hierarchy_stats(MemoryHierarchy& hier, RunResult& r);
+
 class System {
  public:
   explicit System(const SystemConfig& config);

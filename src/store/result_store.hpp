@@ -1,13 +1,12 @@
 // Content-addressed, disk-persistent result store.
 //
-// In memory: an open-addressed, fixed-footprint index (SoA slot arrays +
-// a power-of-two probe table sized once at construction — no rehashing,
-// no per-entry allocation) fronted by a segmented LRU in the TrustedSSD
-// style: a new entry lands on the *probationary* list; its second touch
-// promotes it to the *protected* list; when protected grows past half the
-// capacity its LRU tail is demoted back to probationary MRU. Scan-like
-// workloads (a one-off sweep of new cells) therefore churn only the
-// probationary segment and cannot flush the proven-hot protected entries.
+// In memory: a hash map from key to entry fronted by a segmented LRU in
+// the TrustedSSD style, kept as two key lists: a new entry lands on the
+// *probationary* list; its second touch promotes it to the *protected*
+// list; when protected grows past half the capacity its LRU head is
+// demoted back to probationary MRU. Scan-like workloads (a one-off sweep
+// of new cells) therefore churn only the probationary segment and cannot
+// flush the proven-hot protected entries.
 //
 // On disk: one append-only segment file per store directory,
 //
@@ -27,9 +26,11 @@
 // the byte budget.
 #pragma once
 
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.hpp"
@@ -103,36 +104,21 @@ class ResultStore {
   static std::string segment_path(const std::string& dir);
 
  private:
-  static constexpr u32 kNil = ~u32{0};
-
-  /// One live index entry; slots are recycled through a free list.
-  struct Slot {
-    u64 key = 0;
-    u64 offset = 0;       ///< record start in the segment file
+  /// One live index entry; `pos` is its node in its segment's key list.
+  struct Entry {
+    u64 offset = 0;  ///< record start in the segment file
     u32 payload_bytes = 0;
-    u8 segment = 0;       ///< 0 = free, 1 = probationary, 2 = protected
-    u32 prev = kNil, next = kNil;  ///< intrusive LRU links / free chain
+    bool is_protected = false;
+    std::list<u64>::iterator pos;
   };
+  using Index = std::unordered_map<u64, Entry>;
 
-  /// One segment's intrusive list endpoints (LRU at head, MRU at tail).
-  struct LruList {
-    u32 head = kNil, tail = kNil;
-    std::size_t count = 0;
-  };
-
-  void open_segment_locked() AEEP_REQUIRES(mutex_);
   void scan_segment_locked() AEEP_REQUIRES(mutex_);
-  u32 find_slot_locked(u64 key) const AEEP_REQUIRES(mutex_);
-  void table_insert_locked(u64 key, u32 slot) AEEP_REQUIRES(mutex_);
-  void table_erase_locked(u64 key) AEEP_REQUIRES(mutex_);
-  void list_push_mru_locked(LruList& list, u32 slot, u8 segment)
-      AEEP_REQUIRES(mutex_);
-  void list_unlink_locked(LruList& list, u32 slot) AEEP_REQUIRES(mutex_);
-  void promote_locked(u32 slot) AEEP_REQUIRES(mutex_);
+  void promote_locked(Entry& e) AEEP_REQUIRES(mutex_);
   /// Evict the probationary LRU (protected LRU when probationary is
-  /// empty). Returns kNil when the store is empty.
+  /// empty) and return its payload bytes. The store must not be empty.
   u32 evict_one_locked() AEEP_REQUIRES(mutex_);
-  void drop_slot_locked(u32 slot) AEEP_REQUIRES(mutex_);
+  void drop_locked(Index::iterator it) AEEP_REQUIRES(mutex_);
   /// Index an entry found at `offset` (scan / insert paths share it).
   void index_record_locked(u64 key, u64 offset, u32 payload_bytes)
       AEEP_REQUIRES(mutex_);
@@ -144,14 +130,10 @@ class ResultStore {
   std::string segment_path_;
 
   mutable aeep::Mutex mutex_;
-  std::vector<Slot> slots_ AEEP_GUARDED_BY(mutex_);
-  u32 free_head_ AEEP_GUARDED_BY(mutex_) = kNil;
-  /// Probe table: slot index, kNil = empty, kTomb = tombstone.
-  std::vector<u32> table_ AEEP_GUARDED_BY(mutex_);
-  std::size_t table_mask_ AEEP_GUARDED_BY(mutex_) = 0;
-  std::size_t tombstones_ AEEP_GUARDED_BY(mutex_) = 0;
-  LruList probationary_ AEEP_GUARDED_BY(mutex_);
-  LruList protected_ AEEP_GUARDED_BY(mutex_);
+  Index index_ AEEP_GUARDED_BY(mutex_);
+  /// Segment key lists, LRU at the front, MRU at the back.
+  std::list<u64> probationary_ AEEP_GUARDED_BY(mutex_);
+  std::list<u64> protected_ AEEP_GUARDED_BY(mutex_);
   std::size_t protected_cap_ = 0;  ///< fixed at construction
   u64 segment_bytes_ AEEP_GUARDED_BY(mutex_) = 0;  ///< file size incl. dead
   std::unique_ptr<trace::FileWriter> writer_ AEEP_GUARDED_BY(mutex_);

@@ -34,12 +34,19 @@ metrics::Counter& misses_counter() {
       metrics::Registry::instance().counter("store.misses");
   return c;
 }
+
+std::optional<JsonValue> metrics_object(const JsonValue& metrics) {
+  if (!metrics.is_object()) return std::nullopt;
+  return metrics;
+}
 }  // namespace
 
 SweepCache::SweepCache(StoreConfig config) : store_(std::move(config)) {}
 
-std::optional<sim::RunResult> SweepCache::lookup_result(
-    const sim::SweepJob& job) {
+template <typename T>
+std::optional<T> SweepCache::lookup(
+    const sim::SweepJob& job, const char* field,
+    std::optional<T> (*decode)(const JsonValue&)) {
   const metrics::ScopedTimer span(lookup_us_hist());
   const std::optional<Digest> key = job_digest(job);
   if (!key) {
@@ -48,48 +55,32 @@ std::optional<sim::RunResult> SweepCache::lookup_result(
     return std::nullopt;
   }
   const std::optional<JsonValue> payload = store_.lookup(*key);
-  if (payload && payload->get_u64("v") == kPayloadVersion) {
-    if (const JsonValue* full = payload->find("full")) {
-      if (std::optional<sim::RunResult> r = run_result_from_json(*full)) {
-        const MutexLock lock(mutex_);
-        ++stats_.hits;
-        hits_counter().increment();
-        return r;
-      }
-    }
-  }
+  const JsonValue* doc = payload && payload->get_u64("v") == kPayloadVersion
+                             ? payload->find(field)
+                             : nullptr;
+  std::optional<T> out = doc ? decode(*doc) : std::nullopt;
   const MutexLock lock(mutex_);
-  ++stats_.misses;
-  misses_counter().increment();
-  return std::nullopt;
+  if (out) {
+    ++stats_.hits;
+    hits_counter().increment();
+  } else {
+    ++stats_.misses;
+    misses_counter().increment();
+  }
+  return out;
+}
+
+std::optional<sim::RunResult> SweepCache::lookup_result(
+    const sim::SweepJob& job) {
+  return lookup(job, "full", &run_result_from_json);
 }
 
 std::optional<JsonValue> SweepCache::lookup_metrics(const sim::SweepJob& job) {
-  const metrics::ScopedTimer span(lookup_us_hist());
-  const std::optional<Digest> key = job_digest(job);
-  if (!key) {
-    const MutexLock lock(mutex_);
-    ++stats_.uncacheable;
-    return std::nullopt;
-  }
-  const std::optional<JsonValue> payload = store_.lookup(*key);
-  if (payload && payload->get_u64("v") == kPayloadVersion) {
-    if (const JsonValue* metrics = payload->find("metrics")) {
-      if (metrics->is_object()) {
-        const MutexLock lock(mutex_);
-        ++stats_.hits;
-        hits_counter().increment();
-        return *metrics;
-      }
-    }
-  }
-  const MutexLock lock(mutex_);
-  ++stats_.misses;
-  misses_counter().increment();
-  return std::nullopt;
+  return lookup(job, "metrics", &metrics_object);
 }
 
-void SweepCache::insert(const sim::SweepJob& job, const sim::RunResult& result) {
+void SweepCache::insert_payload(const sim::SweepJob& job, JsonValue metrics,
+                                const sim::RunResult* full) {
   const metrics::ScopedTimer span(insert_us_hist());
   const std::optional<Digest> key = job_digest(job);
   if (!key) {
@@ -100,29 +91,20 @@ void SweepCache::insert(const sim::SweepJob& job, const sim::RunResult& result) 
   JsonValue payload = JsonValue::object();
   payload.set("v", JsonValue::number(kPayloadVersion));
   payload.set("benchmark", JsonValue::string(job.benchmark));
-  payload.set("metrics", sim::run_result_json(result));
-  payload.set("full", run_result_to_json(result));
+  payload.set("metrics", std::move(metrics));
+  if (full) payload.set("full", run_result_to_json(*full));
   store_.insert(*key, payload);
   const MutexLock lock(mutex_);
   ++stats_.inserts;
+}
+
+void SweepCache::insert(const sim::SweepJob& job, const sim::RunResult& result) {
+  insert_payload(job, sim::run_result_json(result), &result);
 }
 
 void SweepCache::insert_metrics(const sim::SweepJob& job,
                                 const JsonValue& metrics) {
-  const metrics::ScopedTimer span(insert_us_hist());
-  const std::optional<Digest> key = job_digest(job);
-  if (!key) {
-    const MutexLock lock(mutex_);
-    ++stats_.uncacheable;
-    return;
-  }
-  JsonValue payload = JsonValue::object();
-  payload.set("v", JsonValue::number(kPayloadVersion));
-  payload.set("benchmark", JsonValue::string(job.benchmark));
-  payload.set("metrics", metrics);
-  store_.insert(*key, payload);
-  const MutexLock lock(mutex_);
-  ++stats_.inserts;
+  insert_payload(job, metrics, nullptr);
 }
 
 SweepCacheStats SweepCache::stats() const {
@@ -135,16 +117,13 @@ void SweepCache::reset_stats() {
   stats_ = SweepCacheStats{};
 }
 
-std::vector<sim::RunResult> run_grid_cached(
+std::vector<sim::SweepOutcome> run_grid_cached(
     const sim::SweepRunner& runner, const std::vector<sim::SweepJob>& grid,
-    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress,
-    std::vector<double>* wall_seconds) {
-  if (!cache) return runner.run_or_throw(grid, progress, wall_seconds);
+    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress) {
+  if (!cache) return runner.run(grid, progress);
 
   const std::size_t n = grid.size();
-  std::vector<sim::RunResult> out(n);
-  if (wall_seconds) wall_seconds->assign(n, 0.0);
-
+  std::vector<sim::SweepOutcome> out(n);
   std::vector<std::size_t> miss_indices;
   std::size_t completed = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -153,19 +132,9 @@ std::vector<sim::RunResult> run_grid_cached(
       miss_indices.push_back(i);
       continue;
     }
-    out[i] = std::move(*hit);
+    out[i].result = std::move(*hit);
     ++completed;
-    if (progress) {
-      sim::SweepOutcome outcome;
-      outcome.result = out[i];
-      sim::SweepProgress p;
-      p.completed = completed;
-      p.total = n;
-      p.job_index = i;
-      p.job = &grid[i];
-      p.outcome = &outcome;
-      progress(p);
-    }
+    if (progress) progress({completed, n, i, &grid[i], &out[i]});
   }
   if (miss_indices.empty()) return out;
 
@@ -187,14 +156,12 @@ std::vector<sim::RunResult> run_grid_cached(
     };
   }
 
-  std::vector<double> miss_walls;
-  const std::vector<sim::RunResult> miss_results = runner.run_or_throw(
-      miss_grid, wrapped, wall_seconds ? &miss_walls : nullptr);
+  std::vector<sim::SweepOutcome> miss_outcomes =
+      runner.run(miss_grid, wrapped);
   for (std::size_t k = 0; k < miss_indices.size(); ++k) {
     const std::size_t i = miss_indices[k];
-    out[i] = miss_results[k];
-    if (wall_seconds) (*wall_seconds)[i] = miss_walls[k];
-    cache->insert(grid[i], miss_results[k]);
+    out[i] = std::move(miss_outcomes[k]);
+    if (out[i].ok()) cache->insert(grid[i], out[i].result);
   }
   return out;
 }

@@ -67,25 +67,40 @@ class SweepCache {
   ResultStore& result_store() { return store_; }
 
  private:
+  /// The one lookup path: digest `job`, read its payload and decode the
+  /// payload's `field` with `decode`, counting exactly one of hit, miss
+  /// (absent, stale version, missing field or failed decode) or
+  /// uncacheable.
+  template <typename T>
+  std::optional<T> lookup(const sim::SweepJob& job, const char* field,
+                          std::optional<T> (*decode)(const JsonValue&))
+      AEEP_EXCLUDES(mutex_);
+
+  /// The one insert path: `metrics`, plus the codec document of `full`
+  /// when given. No-op (counted uncacheable) for uncacheable jobs.
+  void insert_payload(const sim::SweepJob& job, JsonValue metrics,
+                      const sim::RunResult* full) AEEP_EXCLUDES(mutex_);
+
   ResultStore store_;
   mutable aeep::Mutex mutex_;
   SweepCacheStats stats_ AEEP_GUARDED_BY(mutex_){};
 };
 
-/// run_or_throw with a cache in front: cells already in `cache` are served
-/// without touching the runner's pool; the rest run as one (smaller) grid
-/// and are inserted on completion. `cache == nullptr` degrades to a plain
-/// `runner.run_or_throw(grid, progress, wall_seconds)`.
+/// SweepRunner::run with a cache in front: cells already in `cache` are
+/// served without touching the runner's pool; the rest run as one
+/// (smaller) grid, and each one that succeeds is inserted. A failed cell
+/// comes back as a failed outcome and is never inserted. `cache ==
+/// nullptr` degrades to a plain `runner.run(grid, progress)`.
 ///
-/// Progress events fire for every cell — hits first, in grid order, each
-/// with wall_seconds 0.0 — and `completed` stays strictly increasing
-/// 1..N across the hit and miss phases, so existing status-line callbacks
-/// work unchanged. Outcomes are indexed like `grid`, and a cached cell is
+/// Progress events fire for every cell — hits first, in grid order — and
+/// `completed` stays strictly increasing 1..N across the hit and miss
+/// phases, so existing status-line callbacks work unchanged. Outcomes are
+/// indexed like `grid`; a cached cell reports wall_seconds 0.0 and is
 /// byte-identical to the run that produced it (the codec round-trips every
-/// RunResult field).
-std::vector<sim::RunResult> run_grid_cached(
+/// RunResult field). Pass the outcomes to sim::results_or_throw when any
+/// failed cell is fatal.
+std::vector<sim::SweepOutcome> run_grid_cached(
     const sim::SweepRunner& runner, const std::vector<sim::SweepJob>& grid,
-    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress = nullptr,
-    std::vector<double>* wall_seconds = nullptr);
+    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress = nullptr);
 
 }  // namespace aeep::store

@@ -42,7 +42,6 @@ sim::RunResult ReplayDriver::run() {
           // buffer can only be full for externally ingested streams whose
           // issue cycles never let it drain. Force room rather than drop.
           hier.flush_write_buffer(e.tick);
-          ++forced_flushes_;
           (void)hier.store(e.tick, e.addr, e.value);
         }
         break;
@@ -62,27 +61,7 @@ sim::RunResult ReplayDriver::run() {
   r.core.stores = s.stores;
   r.core.cycles = s.end_tick - reset_tick;
 
-  const auto& l2 = hier.l2();
-  r.avg_dirty_fraction = l2.avg_dirty_fraction();
-  r.avg_dirty_lines = static_cast<u64>(l2.avg_dirty_lines() + 0.5);
-  r.peak_dirty_lines = l2.peak_dirty_lines();
-  r.wb_replacement = l2.wb_count(protect::WbCause::kReplacement);
-  r.wb_cleaning = l2.wb_count(protect::WbCause::kCleaning);
-  r.wb_ecc = l2.wb_count(protect::WbCause::kEccEviction);
-
-  r.recovery = l2.recovery().stats();
-  r.retired_ways = l2.cache_model().retired_ways();
-  r.retired_capacity_fraction = l2.retired_capacity_fraction();
-  r.panicked = l2.recovery().panicked();
-  if (const auto* sp = hier.strikes()) r.strikes = sp->stats();
-
-  r.l1i = hier.l1i().stats();
-  r.l1d = hier.l1d().stats();
-  r.l2 = l2.cache_model().stats();
-  r.wbuf = hier.write_buffer().stats();
-  r.bus = hier.bus().stats();
-  r.itlb = hier.itlb().stats();
-  r.dtlb = hier.dtlb().stats();
+  sim::collect_hierarchy_stats(hier, r);
   events_ = reader.events_read();
   return r;
 }

@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/result_json.hpp"
 #include "sim/sweep.hpp"
 #include "store/build_digest.hpp"
@@ -338,6 +340,55 @@ TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
   EXPECT_EQ(reopened.stats().dropped_records, 0u);
 }
 
+// --- ResultStore: index consistency ---------------------------------------
+
+TEST(ResultStore, EvictionLeavesNoStaleIndexEntry) {
+  const std::string dir = temp_dir("stale");
+  ResultStore store({dir, 2});
+  for (const u64 k : {10u, 3u, 4u, 12u, 11u})
+    store.insert(key_of(k), small_payload(k));
+  // A header-only budget evicts every live entry.
+  store.gc(8);
+  store.insert(key_of(11), small_payload(11));
+
+  // Key 11 left the store with its eviction, so this is a fresh insert
+  // of the only live entry, not an update of a forgotten one.
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.entries().size(), 1u);
+  EXPECT_EQ(store.stats().inserts, 6u);
+  EXPECT_EQ(store.stats().updates, 0u);
+  EXPECT_TRUE(store.lookup(key_of(11)).has_value());
+}
+
+TEST(ResultStore, RandomOpsKeepIndexConsistent) {
+  for (const std::size_t cap : {2, 3, 4, 8}) {
+    const std::string dir =
+        temp_dir(("random_" + std::to_string(cap)).c_str());
+    auto store = std::make_unique<ResultStore>(StoreConfig{dir, cap});
+    Xorshift64Star rng(cap);
+    for (int op = 0; op < 3000; ++op) {
+      const u64 key = 1 + rng.next_below(3 * cap);
+      const u64 kind = rng.next_below(8);
+      ASSERT_NO_THROW({
+        if (kind < 4) {
+          store->insert(key_of(key), small_payload(key));
+        } else if (kind < 6) {
+          (void)store->lookup(key_of(key));
+        } else if (kind == 6) {
+          // From header-only up to room for roughly every entry.
+          store->gc(8 + rng.next_below(cap + 1) * 48);
+        } else {
+          store.reset();
+          store = std::make_unique<ResultStore>(StoreConfig{dir, cap});
+        }
+      }) << "cap " << cap << " op " << op;
+      ASSERT_EQ(store->size(), store->entries().size())
+          << "cap " << cap << " op " << op;
+      ASSERT_LE(store->size(), cap) << "cap " << cap << " op " << op;
+    }
+  }
+}
+
 // --- SweepCache / run_grid_cached ------------------------------------------
 
 TEST(SweepCache, MetricsOnlyRecordsMissForFullResultConsumers) {
@@ -370,9 +421,12 @@ TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   SweepCache cold({dir, 64});
   std::vector<double> cold_walls;
   std::vector<std::size_t> completed_seq;
-  const auto cold_results = run_grid_cached(
-      runner, grid, &cold,
-      [&](const sim::SweepProgress& p) { completed_seq.push_back(p.completed); },
+  const auto cold_results = sim::results_or_throw(
+      grid,
+      run_grid_cached(runner, grid, &cold,
+                      [&](const sim::SweepProgress& p) {
+                        completed_seq.push_back(p.completed);
+                      }),
       &cold_walls);
   ASSERT_EQ(cold_results.size(), grid.size());
   EXPECT_EQ(cold.stats().hits, 0u);
@@ -386,15 +440,16 @@ TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   completed_seq.clear();
   std::vector<double> warm_walls;
   std::vector<char> saw_job(grid.size(), 0);
-  const auto warm_results = run_grid_cached(
-      runner, grid, &warm,
-      [&](const sim::SweepProgress& p) {
-        completed_seq.push_back(p.completed);
-        saw_job[p.job_index] = 1;
-        EXPECT_EQ(p.total, grid.size());
-        ASSERT_NE(p.outcome, nullptr);
-        EXPECT_TRUE(p.outcome->ok());
-      },
+  const auto warm_results = sim::results_or_throw(
+      grid,
+      run_grid_cached(runner, grid, &warm,
+                      [&](const sim::SweepProgress& p) {
+                        completed_seq.push_back(p.completed);
+                        saw_job[p.job_index] = 1;
+                        EXPECT_EQ(p.total, grid.size());
+                        ASSERT_NE(p.outcome, nullptr);
+                        EXPECT_TRUE(p.outcome->ok());
+                      }),
       &warm_walls);
   EXPECT_EQ(warm.stats().hits, grid.size());
   EXPECT_EQ(warm.stats().misses, 0u);
@@ -431,7 +486,8 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
   cache.insert(grid[1], seeded[0]);
   cache.reset_stats();
 
-  const auto results = run_grid_cached(runner, grid, &cache);
+  const auto results = sim::results_or_throw(
+      grid, run_grid_cached(runner, grid, &cache), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, grid.size() - 1);
   EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
@@ -439,6 +495,31 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
   // Outcomes land at their grid positions regardless of hit/miss split.
   const auto all = runner.run_or_throw(grid);
   EXPECT_EQ(results, all);
+}
+
+TEST(SweepCache, FailedMissComesBackFailedAndIsNotInserted) {
+  const std::string dir = temp_dir("failed_miss");
+  std::vector<sim::SweepJob> grid = small_grid();
+  grid.insert(grid.begin() + 1,
+              {"no-such-benchmark", small_options(), "bad"});
+  ASSERT_TRUE(job_digest(grid[1]).has_value());  // cacheable, so testable
+
+  SweepCache cache({dir, 64});
+  const auto outcomes = run_grid_cached(sim::SweepRunner(2), grid, &cache);
+  ASSERT_EQ(outcomes.size(), grid.size());
+  EXPECT_FALSE(outcomes[1].ok());
+  EXPECT_NE(outcomes[1].error.find("unknown benchmark"), std::string::npos)
+      << outcomes[1].error;
+  for (const std::size_t i : {0u, 2u, 3u})
+    EXPECT_TRUE(outcomes[i].ok()) << i << ": " << outcomes[i].error;
+
+  // Only the three good cells were stored; the bad one still misses.
+  EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
+  EXPECT_EQ(cache.result_store().size(), grid.size() - 1);
+  cache.reset_stats();
+  EXPECT_FALSE(cache.lookup_result(grid[1]).has_value());
+  EXPECT_TRUE(cache.lookup_result(grid[0]).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the parallel sweep engine: determinism across worker counts
 // (the load-bearing guarantee — parallelism must never change results),
-// per-job failure capture, progress reporting, and the run_suite fan-out.
+// per-job failure capture, progress reporting, and a benchmark-list fan-out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,8 +144,10 @@ TEST(SweepRunner, WriteBufferFreeListStaysBounded) {
 TEST(RunSuite, ParallelSuiteMatchesSerialSuite) {
   const ExperimentOptions eo = small_options();
   const std::vector<std::string> names = {"gzip", "mcf", "swim"};
-  const auto serial = run_suite(names, eo, 1);
-  const auto parallel = run_suite(names, eo, 4);
+  std::vector<SweepJob> grid;
+  for (const auto& name : names) grid.push_back({name, eo, {}});
+  const auto serial = SweepRunner(1).run_or_throw(grid);
+  const auto parallel = SweepRunner(4).run_or_throw(grid);
   ASSERT_EQ(serial.size(), names.size());
   EXPECT_EQ(serial, parallel);
   for (std::size_t i = 0; i < names.size(); ++i)

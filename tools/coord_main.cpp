@@ -179,61 +179,27 @@ int main(int argc, char** argv) {
     // Serve what the store already knows, then run only the misses; a
     // cached cell renders through the same sim::run_result_json as a
     // fresh one, so a warm re-run's --json cells are byte-identical.
-    const sim::SweepRunner runner(o.jobs);
-    std::vector<sim::RunResult> results(grid.size());
-    std::vector<char> have(grid.size(), 0);
-    std::vector<std::size_t> miss_idx;
+    const std::vector<sim::SweepOutcome> outcomes = store::run_grid_cached(
+        sim::SweepRunner(o.jobs), grid, cache.get(), sim::stderr_progress());
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (cache) {
-        if (std::optional<sim::RunResult> hit = cache->lookup_result(grid[i])) {
-          results[i] = std::move(*hit);
-          have[i] = 1;
-          std::fprintf(stderr, "[%zu/%zu] %s:%s <- store\n",
-                       i - miss_idx.size() + 1, grid.size(),
-                       grid[i].benchmark.c_str(), grid[i].tag.c_str());
-          continue;
-        }
+      if (!outcomes[i].ok()) {
+        any_failed = true;
+        std::fprintf(stderr, "aeep_coord: cell %s:%s failed: %s\n",
+                     grid[i].benchmark.c_str(), grid[i].tag.c_str(),
+                     outcomes[i].error.c_str());
+        continue;
       }
-      miss_idx.push_back(i);
-    }
-    const std::size_t store_hits = grid.size() - miss_idx.size();
-    if (!miss_idx.empty()) {
-      std::vector<sim::SweepJob> miss_grid;
-      miss_grid.reserve(miss_idx.size());
-      for (const std::size_t i : miss_idx) miss_grid.push_back(grid[i]);
-      const auto base_progress = sim::stderr_progress();
-      const auto outcomes =
-          runner.run(miss_grid, [&](const sim::SweepProgress& p) {
-            sim::SweepProgress q = p;
-            q.completed = store_hits + p.completed;
-            q.total = grid.size();
-            base_progress(q);
-          });
-      for (std::size_t k = 0; k < miss_idx.size(); ++k) {
-        const std::size_t i = miss_idx[k];
-        if (!outcomes[k].ok()) {
-          any_failed = true;
-          std::fprintf(stderr, "aeep_coord: cell %s:%s failed: %s\n",
-                       grid[i].benchmark.c_str(), grid[i].tag.c_str(),
-                       outcomes[k].error.c_str());
-          continue;
-        }
-        results[i] = outcomes[k].result;
-        have[i] = 1;
-        if (cache) cache->insert(grid[i], outcomes[k].result);
-      }
-    }
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!have[i]) continue;
       reporter.add_cell(grid[i].benchmark, grid[i].tag,
-                        sim::run_result_json(results[i]));
+                        sim::run_result_json(outcomes[i].result));
     }
     if (cache) {
-      reporter.set_config("store_hits", JsonValue::number(u64{store_hits}));
-      reporter.set_config("store_misses",
-                          JsonValue::number(u64{miss_idx.size()}));
-      std::fprintf(stderr, "aeep_coord: store hits=%zu misses=%zu (%s)\n",
-                   store_hits, miss_idx.size(), store_dir.c_str());
+      const u64 hits = cache->stats().hits;
+      const u64 misses = u64{grid.size()} - hits;
+      reporter.set_config("store_hits", JsonValue::number(hits));
+      reporter.set_config("store_misses", JsonValue::number(misses));
+      std::fprintf(stderr, "aeep_coord: store hits=%llu misses=%llu (%s)\n",
+                   static_cast<unsigned long long>(hits),
+                   static_cast<unsigned long long>(misses), store_dir.c_str());
     }
   } else {
     std::unique_ptr<fabric::Coordinator> coord;
