@@ -14,8 +14,7 @@
 // a short backoff; it is load shedding working as designed. Anything else
 // that fails — submit error, failed job, lost connection — counts as
 // `dropped`, and the acceptance gate is simple: jobs_per_sec >= 250 with
-// dropped == 0 on the smoke config (raised from 100 when dispatch moved to
-// the lock-free MpmcQueue). The --json cell carries jobs/sec plus
+// dropped == 0 on the smoke config. The --json cell carries jobs/sec plus
 // client-observed latency percentiles (submit -> result received).
 #include <algorithm>
 #include <atomic>

@@ -413,10 +413,11 @@ void check_sleep(FileContext& ctx) {
 }
 
 // --- rule: deque-in-hot-path -----------------------------------------------
-// std::deque / std::queue under src/sim and src/server: the sweep pool and
-// the job server dispatch on the lock-free aeep::MpmcQueue, and per-entry
-// state belongs in dense SoA arrays — a node-based queue there reintroduces
-// either a mutex-guarded hot path or pointer-chasing scans.
+// std::deque / std::queue under src/sim and src/server: the sweep pool
+// claims cells from an index cursor, the job server dispatches straight
+// from its id-ordered job table, and per-entry state belongs in dense SoA
+// arrays — a node-based queue there adds a second copy of state that
+// already has a home, or pointer-chasing scans.
 void check_hot_queue(FileContext& ctx) {
   const auto& code = ctx.code;
   for (std::size_t i = 0; i + 3 < code.size(); ++i) {
@@ -426,7 +427,7 @@ void check_hot_queue(FileContext& ctx) {
       continue;
     ctx.report(kHotQueue, code[i + 2].line,
                "std::" + code[i + 2].text +
-                   " in src/sim|src/server is banned; use aeep::MpmcQueue "
+                   " in src/sim|src/server is banned; use an index cursor "
                    "for work hand-off or a dense SoA ring for per-entry "
                    "state (deliberate: aeep-lint: allow(deque-in-hot-path))");
   }
@@ -477,8 +478,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {kNakedNew, "no naked new/delete in src/ outside free-list code"},
       {kSleep, "no sleep_for/sleep_until in src/; wait on a condvar"},
       {kHotQueue,
-       "no std::deque/std::queue under src/sim|src/server; use MpmcQueue "
-       "or a dense SoA ring"},
+       "no std::deque/std::queue under src/sim|src/server; use an index "
+       "cursor or a dense SoA ring"},
       {kRawClock,
        "no std::chrono::steady_clock outside src/metrics; time through "
        "metrics::now()/ScopedTimer"},

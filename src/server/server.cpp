@@ -1,10 +1,9 @@
 #include "server/server.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <exception>
+#include <optional>
 #include <utility>
 
-#include "common/bitops.hpp"
 #include "metrics/timer.hpp"
 #include "sim/result_json.hpp"
 
@@ -48,10 +47,6 @@ JobServer::JobServer(ServerConfig config)
   if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.max_connections == 0) config_.max_connections = 1;
   if (config_.result_retention == 0) config_.result_retention = 1;
-  // The ring wants a power of two >= 2; queue_depth_ enforces the exact
-  // configured capacity on top, so over-sizing the ring costs nothing.
-  queue_ = std::make_unique<MpmcQueue<u64>>(static_cast<std::size_t>(
-      std::max<u64>(2, ceil_pow2(config_.queue_capacity))));
 }
 
 JobServer::~JobServer() { stop(); }
@@ -122,23 +117,14 @@ void JobServer::stop() {
   {
     const MutexLock lock(mutex_);
     // Anything still queued will never run; fail it loudly rather than
-    // leaving a waiting client to time out. Drain the ring, then sweep the
-    // job table for kQueued stragglers (a submit may have inserted its job
-    // but not yet published the id to the ring).
-    u64 id = 0;
-    while (queue_->try_pop(id)) {
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end())
-        finish_job_locked(it->second, JobState::kFailed,
-                          ServerErrorKind::kShutdown,
-                          "server shut down before the job ran");
-    }
+    // leaving a waiting client to time out. draining_ is already set, so no
+    // submit can queue another job after this sweep.
     for (auto& [jid, job] : jobs_) {
-      if (job.state == JobState::kQueued)
-        finish_job_locked(job, JobState::kFailed, ServerErrorKind::kShutdown,
-                          "server shut down before the job ran");
+      if (job.state != JobState::kQueued) continue;
+      --queued_;
+      finish_job_locked(job, JobState::kFailed, ServerErrorKind::kShutdown,
+                        "server shut down before the job ran");
     }
-    queue_depth_.store(0);
   }
   cv_dispatch_.notify_all();
   cv_done_.notify_all();
@@ -168,7 +154,7 @@ void JobServer::stop() {
 ServerStats JobServer::stats() const {
   const MutexLock lock(mutex_);
   ServerStats s = stats_;
-  s.queued = queue_depth_.load();
+  s.queued = queued_;
   s.running = running_count_;
   return s;
 }
@@ -186,18 +172,20 @@ void JobServer::dispatch_loop() {
     std::vector<u64> ids;
     {
       const MutexLock lock(mutex_);
-      while (!closing_.load() && !draining_.load() &&
-             queue_depth_.load() == 0)
+      while (!closing_.load() && !draining_.load() && queued_ == 0)
         cv_dispatch_.wait(mutex_);
       if (closing_.load()) return;
 
+      // Take queued jobs in id (= submit) order from the dispatch cursor.
+      // Store hits are born terminal and are skipped.
       const auto now = metrics::now();
-      u64 id = 0;
-      while (ids.size() < config_.max_batch && queue_->try_pop(id)) {
-        queue_depth_.fetch_sub(1);
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end()) continue;
+      for (auto it = jobs_.lower_bound(next_dispatch_id_);
+           it != jobs_.end() && ids.size() < config_.max_batch; ++it) {
+        const u64 id = it->first;
+        next_dispatch_id_ = id + 1;
         Job& job = it->second;
+        if (job.state != JobState::kQueued) continue;
+        --queued_;
         if (job.has_deadline && now > job.deadline) {
           finish_job_locked(job, JobState::kTimeout,
                             ServerErrorKind::kTimeout,
@@ -215,11 +203,9 @@ void JobServer::dispatch_loop() {
         ids.push_back(id);
       }
       if (ids.empty()) {
-        // Ring dry. depth > 0 means a submitter reserved a slot but hasn't
-        // published the id yet; loop (the wait predicate sees depth > 0 and
-        // falls straight through) until the push lands — a few atomics away.
-        if (draining_.load() && queue_depth_.load() == 0)
-          return;  // drained dry: dispatcher is done
+        // Nothing left to run (the walk takes every queued job up to
+        // max_batch, so queued_ is 0 here).
+        if (draining_.load()) return;  // drained dry: dispatcher is done
         continue;
       }
       ++stats_.batches;
@@ -536,23 +522,17 @@ u64 JobServer::submit_job(const JsonValue& req) {
     log_.write("cache_miss", std::move(f));
   }
 
-  // Lock-free backpressure: reserve a queue slot on the atomic depth
-  // counter before touching any shared state. Losing submitters back out
-  // with kBusy without ever serialising on mutex_.
-  if (queue_depth_.fetch_add(1) >= config_.queue_capacity) {
-    queue_depth_.fetch_sub(1);
-    const MutexLock lock(mutex_);
-    ++stats_.busy_rejected;
-    throw ServerError(ServerErrorKind::kBusy,
-                      "job queue is full (" +
-                          std::to_string(config_.queue_capacity) +
-                          " queued); retry later");
-  }
   u64 id = 0;
   {
     const MutexLock lock(mutex_);
+    if (queued_ >= config_.queue_capacity) {
+      ++stats_.busy_rejected;
+      throw ServerError(ServerErrorKind::kBusy,
+                        "job queue is full (" +
+                            std::to_string(config_.queue_capacity) +
+                            " queued); retry later");
+    }
     if (draining_.load()) {
-      queue_depth_.fetch_sub(1);
       ++stats_.shutdown_rejected;
       throw ServerError(ServerErrorKind::kShutdown,
                         "server is draining; not accepting new jobs");
@@ -571,17 +551,8 @@ u64 JobServer::submit_job(const JsonValue& req) {
       job.deadline = job.submitted_at + std::chrono::milliseconds(timeout_ms);
     }
     jobs_.emplace(id, std::move(job));
+    ++queued_;
     ++stats_.submitted;
-  }
-  // Publish after the job table knows the id; the dispatcher tolerates the
-  // reserve->push window (see dispatch_loop). The reservation above
-  // guarantees the ring (capacity >= queue_capacity) has room.
-  if (!queue_->try_push(id))
-    throw std::logic_error("job ring refused a reserved slot");
-  {
-    // Pair the push with the cv so the dispatcher cannot check-then-sleep
-    // across it (same trick as request_drain).
-    const MutexLock lock(mutex_);
   }
   cv_dispatch_.notify_one();
   return id;
@@ -591,7 +562,8 @@ JsonValue JobServer::handle_submit(const JsonValue& req) {
   const u64 id = submit_job(req);
   JsonValue r = ok_reply("submitted");
   r.set("job_id", JsonValue::number(id));
-  r.set("queue_depth", JsonValue::number(u64{queue_depth_.load()}));
+  const MutexLock lock(mutex_);
+  r.set("queue_depth", JsonValue::number(u64{queued_}));
   return r;
 }
 
@@ -609,13 +581,10 @@ JsonValue JobServer::handle_status(const JsonValue& req) {
   r.set("state", JsonValue::string(to_string(job.state)));
   if (job.state == JobState::kQueued) {
     // Ids are handed out in FIFO order, so the position is the number of
-    // still-queued jobs submitted before this one. O(jobs) map walk, but
-    // status is a cold path and the ring has no stable iteration.
+    // still-queued jobs between the dispatch cursor and this one.
     u64 ahead = 0;
-    for (const auto& [oid, other] : jobs_) {
-      if (oid >= id) break;
-      if (other.state == JobState::kQueued) ++ahead;
-    }
+    for (auto o = jobs_.lower_bound(next_dispatch_id_); o != it; ++o)
+      if (o->second.state == JobState::kQueued) ++ahead;
     r.set("queue_position", JsonValue::number(ahead));
   }
   r.set("wall_ms", JsonValue::number(is_terminal(job.state)
@@ -739,9 +708,9 @@ JsonValue JobServer::handle_health() const {
   // this before dispatch, so it must answer fast even under load.
   JsonValue r = ok_reply("health");
   r.set("draining", JsonValue::boolean(draining_.load()));
-  r.set("queued", JsonValue::number(u64{queue_depth_.load()}));
   {
     const MutexLock lock(mutex_);
+    r.set("queued", JsonValue::number(u64{queued_}));
     r.set("running", JsonValue::number(u64{running_count_}));
   }
   r.set("queue_capacity", JsonValue::number(u64{config_.queue_capacity}));

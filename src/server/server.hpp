@@ -6,15 +6,19 @@
 //  - the accept loop polls the listener with a short timeout, spawns one
 //    handler thread per connection, and bounces connections beyond
 //    max_connections with a kBusy frame before closing;
-//  - handler threads speak the request/reply protocol; a submit enqueues
-//    into a *bounded* lock-free MPMC ring (common/mpmc_queue.hpp) after
-//    reserving a slot on an atomic depth counter — when full the client
-//    gets an explicit kBusy reply (backpressure, 429-style) instead of an
-//    ever-growing backlog. The mutex guards only the cold job-table map;
-//    the enqueue itself never takes it;
-//  - one dispatcher thread drains the ring in batches of <= max_batch
-//    jobs through SweepRunner::run(), completing each job from the
-//    progress callback as it finishes (not at batch end).
+//  - handler threads speak the request/reply protocol. A submit checks
+//    capacity and inserts its job into the job table in one critical
+//    section under mutex_; when queue_capacity jobs are already queued the
+//    client gets an explicit kBusy reply (backpressure, 429-style) instead
+//    of an ever-growing backlog;
+//  - one dispatcher thread takes the queued jobs in batches of <= max_batch
+//    and runs each batch through SweepRunner::run(), completing each job
+//    from the progress callback as it finishes (not at batch end).
+// The queue is not a separate structure. Job ids are handed out in submit
+// order and the job table is ordered by id, so the queue is the kQueued
+// jobs at or after the dispatch cursor, and a counter tracks how many
+// there are. All of it is guarded by mutex_; a job runs for milliseconds,
+// so the lock is never the bottleneck.
 // Per-job wall-clock deadlines are enforced twice: a job still queued past
 // its deadline is failed as kTimeout without running, and a job whose
 // batch finishes late has its result discarded as kTimeout (SweepRunner
@@ -34,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "metrics/clock.hpp"
@@ -201,13 +204,13 @@ class JobServer {
   aeep::CondVar cv_dispatch_;  ///< queue gained work / draining
   aeep::CondVar cv_done_;      ///< some job reached terminal state
   std::map<u64, Job> jobs_ AEEP_GUARDED_BY(mutex_);
-  /// FIFO of queued job ids. Lock-free: submits push and the dispatcher
-  /// pops without touching mutex_. Ring capacity is queue_capacity rounded
-  /// up to a power of two; the *exact* configured bound is enforced by
-  /// queue_depth_ (reserve-then-push), so a capacity-1 server still bounces
-  /// the second submit.
-  std::unique_ptr<MpmcQueue<u64>> queue_;
-  std::atomic<std::size_t> queue_depth_{0};
+  /// The queue: every kQueued job has an id >= next_dispatch_id_, and
+  /// queued_ counts them. Capacity is checked against queued_ exactly.
+  /// Only submit_job (+1) and the two places that take a queued miss out
+  /// (dispatch_loop, stop) change queued_; a store hit, finished in the
+  /// critical section that inserts it, is never counted.
+  u64 next_dispatch_id_ AEEP_GUARDED_BY(mutex_) = 1;
+  std::size_t queued_ AEEP_GUARDED_BY(mutex_) = 0;
   /// retention ring, oldest first
   std::vector<u64> finished_order_ AEEP_GUARDED_BY(mutex_);
   u64 next_job_id_ AEEP_GUARDED_BY(mutex_) = 1;

@@ -1,6 +1,7 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -8,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/bitops.hpp"
-#include "common/mpmc_queue.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "metrics/clock.hpp"
@@ -64,16 +63,10 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& grid,
     return out;
   }
 
-  // All workers drain one shared lock-free ring. The queue is seeded with
-  // every job index before any thread starts, so try_pop() returning false
-  // means the grid is exhausted — no stealing or termination protocol
-  // needed, and the pop is a couple of atomics instead of a mutex.
-  MpmcQueue<std::size_t> work(static_cast<std::size_t>(
-      std::max<u64>(2, ceil_pow2(grid.size()))));
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!work.try_push(i))
-      throw std::logic_error("sweep work queue refused a seeded job");
-  }
+  // Workers claim cells in grid order from one shared cursor. Each claim
+  // is a single fetch_add, and an index past the end means the grid is
+  // exhausted, so no termination protocol is needed.
+  std::atomic<std::size_t> next{0};
 
   // Progress delivery. Completion events land in `pending` under a cheap
   // lock, and whichever worker can grab `delivery_mutex` drains them in
@@ -119,8 +112,8 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& grid,
   };
 
   auto worker_main = [&]() {
-    std::size_t idx = 0;
-    while (work.try_pop(idx)) {
+    for (std::size_t idx = next.fetch_add(1); idx < grid.size();
+         idx = next.fetch_add(1)) {
       execute_job(grid[idx], out[idx]);
       report(idx);
     }

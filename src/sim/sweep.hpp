@@ -1,9 +1,14 @@
 // Parallel sweep engine for (benchmark × sweep-point) experiment grids.
 //
 // Every figure/ablation bench drives dozens of fully independent, seeded
-// `System` runs; SweepRunner fans them out across a thread pool draining a
-// shared lock-free MPMC ring (common/mpmc_queue.hpp) so a sweep finishes in
-// grid/N wall-clock instead of grid wall-clock.
+// `System` runs; SweepRunner fans them out across a thread pool so a sweep
+// finishes in grid/N wall-clock instead of grid wall-clock.
+// Threading model: with one worker the grid runs inline on the calling
+// thread. Otherwise min(jobs, grid size) threads claim cells in grid order
+// from a shared atomic cursor (one fetch_add per cell; a cell runs for
+// milliseconds, so the claim is never the bottleneck) and write each
+// outcome into its own pre-sized slot. The pool is joined before run()
+// returns.
 // Guarantees:
 //  - deterministic results: outcomes come back indexed exactly like the
 //    submitted jobs, and each run is seeded entirely by its SystemConfig,

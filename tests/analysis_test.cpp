@@ -462,14 +462,16 @@ TEST(HotQueue, FiresOnDequeAndQueueInSimAndServer) {
 }
 
 TEST(HotQueue, OtherDirsAndOtherContainersQuiet) {
-  // The ban is scoped to the lock-free hot paths, not the whole tree.
+  // The ban is scoped to the src/sim and src/server hot paths, not the
+  // whole tree.
   EXPECT_FALSE(fired("src/trace/x.hpp", "std::deque<Record> backlog_;",
                      "deque-in-hot-path"));
   EXPECT_FALSE(fired("tests/x.cpp", "std::queue<int> q;",
                      "deque-in-hot-path"));
   EXPECT_FALSE(fired("src/sim/x.hpp", "std::vector<Cycle> stamps_;",
                      "deque-in-hot-path"));
-  // priority_queue is a different beast (no MpmcQueue equivalent).
+  // priority_queue is a different beast: an ordered event queue, not a
+  // FIFO work hand-off.
   EXPECT_FALSE(fired("src/sim/x.hpp", "std::priority_queue<Ev> evq_;",
                      "deque-in-hot-path"));
 }

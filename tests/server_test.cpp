@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -301,6 +302,127 @@ TEST(JobServer, QueuedJobPastDeadlineTimesOutWithoutRunning) {
   EXPECT_EQ(kind_of([&] { client.result(id, /*wait=*/true, 120'000); }),
             ServerErrorKind::kTimeout);
   EXPECT_GE(served.stats().timed_out, 1u);
+  served.drain();
+}
+
+/// Poll until the server reports `n` running jobs (the slow job has left
+/// the queue and occupies the worker).
+void wait_until_running(const JobServer& served, std::size_t n) {
+  for (int i = 0; i < 500 && served.stats().running < n; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(served.stats().running, n);
+}
+
+TEST(JobServer, StopFailsQueuedJobsWithShutdown) {
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 1;
+  cfg.max_batch = 1;
+  cfg.queue_capacity = 4;
+  JobServer served(cfg);
+  served.start();
+  Client client("127.0.0.1", served.port());
+
+  client.submit(small_exec_job(300'000));
+  wait_until_running(served, 1);
+  client.submit(small_exec_job());
+  client.submit(small_exec_job());
+  EXPECT_EQ(served.stats().queued, 2u);
+
+  // stop() fails both queued jobs at once, then waits for the running
+  // batch, which still completes.
+  served.stop();
+  const ServerStats stats = served.stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(JobServer, QueuedJobsReportFifoPositionAndRunInSubmitOrder) {
+  const std::string log_path =
+      testing::TempDir() + "aeep_server_test_fifo.log";
+  std::filesystem::remove(log_path);
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 1;
+  cfg.max_batch = 1;
+  cfg.access_log_path = log_path;
+  JobServer served(cfg);
+  served.start();
+  Client client("127.0.0.1", served.port());
+
+  const u64 slow = client.submit(small_exec_job(300'000));
+  wait_until_running(served, 1);
+  const std::vector<u64> queued = {client.submit(small_exec_job()),
+                                   client.submit(small_exec_job()),
+                                   client.submit(small_exec_job())};
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    const JsonValue st = client.status(queued[i]);
+    EXPECT_EQ(st.get_string("state"), "queued");
+    EXPECT_EQ(st.get_u64("queue_position", 99), i) << "job " << queued[i];
+  }
+  for (const u64 id : queued)
+    EXPECT_TRUE(client.result(id, /*wait=*/true, 120'000).get_bool("ready"));
+  served.drain();
+
+  // The access log's terminal "job" lines give the completion order.
+  std::vector<u64> finished;
+  std::ifstream in(log_path);
+  for (std::string line; std::getline(in, line);) {
+    const auto entry = json_parse(line);
+    ASSERT_TRUE(entry.has_value()) << line;
+    if (entry->get_string("event", "") == "job")
+      finished.push_back(entry->get_u64("job", 0));
+  }
+  const std::vector<u64> expected = {slow, queued[0], queued[1], queued[2]};
+  EXPECT_EQ(finished, expected);
+}
+
+TEST(JobServer, StoreHitWhileMissesAreQueuedLeavesQueueCountAlone) {
+  const std::string store_dir =
+      testing::TempDir() + "aeep_server_test_store_queued";
+  std::filesystem::remove_all(store_dir);
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 1;
+  cfg.queue_capacity = 2;
+  cfg.store_dir = store_dir;
+  JobServer served(cfg);
+  served.start();
+  Client client("127.0.0.1", served.port());
+
+  // Warm the store with one spec.
+  const u64 warm = client.submit(small_exec_job());
+  ASSERT_TRUE(client.result(warm, /*wait=*/true, 60'000).get_bool("ready"));
+  for (int i = 0; i < 200 && served.stats().cache_stores == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(served.stats().cache_stores, 1u);
+
+  // Occupy the worker, queue miss A, then a hit: the hit never enters the
+  // queue, so the count stays at 1 and miss B still fits.
+  client.submit(small_exec_job(300'000));
+  wait_until_running(served, 1);
+  const u64 a = client.submit(small_exec_job(31'000));
+  EXPECT_EQ(served.stats().queued, 1u);
+  const u64 hit = client.submit(small_exec_job());
+  EXPECT_TRUE(client.result(hit, /*wait=*/false).get_bool("ready"));
+  EXPECT_EQ(served.stats().queued, 1u);
+  const u64 b = client.submit(small_exec_job(32'000));
+  EXPECT_EQ(served.stats().queued, 2u);
+
+  for (const u64 id : {a, b})
+    EXPECT_EQ(client.result(id, /*wait=*/true, 120'000).get_string("state"),
+              "done");
+  EXPECT_EQ(served.stats().queued, 0u);
+  // A later miss is accepted (not kBusy) and runs.
+  const u64 c = client.submit(small_exec_job(33'000));
+  EXPECT_EQ(client.result(c, /*wait=*/true, 120'000).get_string("state"),
+            "done");
+  const ServerStats stats = served.stats();
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.busy_rejected, 0u);
+  EXPECT_EQ(stats.cache_hits, 1u);
   served.drain();
 }
 

@@ -119,6 +119,13 @@ TEST(SweepRunner, ProgressCoversEveryJobExactlyOnce) {
   EXPECT_EQ(indices.size(), grid.size());
 }
 
+TEST(SweepRunner, EmptyGridRunsNothing) {
+  bool called = false;
+  const auto progress = [&](const SweepProgress&) { called = true; };
+  EXPECT_TRUE(SweepRunner(8).run({}, progress).empty());
+  EXPECT_FALSE(called);
+}
+
 TEST(SweepRunner, DefaultJobsIsAtLeastOne) {
   EXPECT_GE(SweepRunner::default_jobs(), 1u);
   EXPECT_EQ(SweepRunner(0).jobs(), SweepRunner::default_jobs());
