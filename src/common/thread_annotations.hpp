@@ -1,6 +1,6 @@
 // Clang thread-safety-analysis macros (no-ops on other compilers).
 //
-// The concurrent subsystems (sim/sweep, server, fabric) carry these
+// The concurrent subsystems (sim/sweep, server, store, metrics) carry these
 // annotations so `clang++ -Wthread-safety -Werror=thread-safety` turns an
 // unguarded access to a mutex-protected member into a *build break* instead
 // of a code-review comment. GCC compiles the same code unannotated — the

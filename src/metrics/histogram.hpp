@@ -4,8 +4,8 @@
 // bucket i (1..62) holds values in [2^(i-1), 2^i); bucket 63 saturates —
 // everything >= 2^62 lands there, so no recordable u64 is ever dropped.
 // The layout is a compile-time constant, which is what makes merge
-// lossless: two histograms (from two fabric workers, two snapshots, two
-// runs) merge by elementwise bucket addition, and (a+b)+c == a+(b+c).
+// lossless: two histograms (from two servers, two snapshots, two runs)
+// merge by elementwise bucket addition, and (a+b)+c == a+(b+c).
 //
 // record() is wait-free — one relaxed fetch_add on the bucket plus relaxed
 // updates of the exact sum/min/max — so it is safe from any thread,
@@ -56,7 +56,7 @@ constexpr u64 bucket_upper_bound(std::size_t i) {
 }
 
 /// Plain-data copy of a histogram at one moment: what crosses the wire,
-/// lands in JSON snapshots, and merges across fabric workers. `count` is
+/// lands in JSON snapshots, and merges across processes. `count` is
 /// always the sum of `buckets` — merge and diff preserve that invariant.
 struct HistogramSnapshot {
   u64 buckets[kHistogramBuckets] = {};
@@ -76,8 +76,8 @@ struct HistogramSnapshot {
   double percentile(double p) const;
 
   /// Lossless union: elementwise bucket addition, exact sum, combined
-  /// min/max. Associative and commutative — fabric aggregation can fold
-  /// worker snapshots in any order.
+  /// min/max. Associative and commutative — snapshots from several
+  /// processes fold in any order.
   void merge(const HistogramSnapshot& other);
 
   /// The interval histogram between an older snapshot of the *same*

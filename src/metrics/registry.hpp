@@ -1,10 +1,10 @@
 // Process-wide registry of named histograms and counters.
 //
 // Naming convention: dotted lowercase paths with the unit as the final
-// suffix — "server.queue_wait_us", "fabric.rpc_us.127.0.0.1:7501",
-// "store.hits". One Registry::instance() serves the whole process so the
-// metrics wire endpoint, the access-log summaries and the tools all read
-// the same truth.
+// suffix — "server.queue_wait_us", "store.lookup_us", "store.hits". One
+// Registry::instance() serves the whole process so the metrics wire
+// endpoint, the access-log summaries and the tools all read the same
+// truth.
 //
 // Locking: the name maps are guarded by one aeep::Mutex, taken only on
 // first registration, snapshot and reset. histogram()/counter() return

@@ -1,9 +1,9 @@
-#include "fabric/backoff.hpp"
+#include "server/backoff.hpp"
 
 #include <chrono>
 #include <thread>
 
-namespace aeep::fabric {
+namespace aeep::server {
 
 Backoff::Backoff(BackoffPolicy policy, u64 seed)
     : policy_(policy), rng_(seed) {
@@ -36,4 +36,4 @@ void backoff_sleep(Backoff& backoff) {
       std::chrono::milliseconds(backoff.next_delay_ms()));
 }
 
-}  // namespace aeep::fabric
+}  // namespace aeep::server

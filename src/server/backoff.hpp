@@ -1,16 +1,15 @@
-// Jittered exponential backoff — the one retry clock every layer of the
-// fabric shares: the coordinator's per-worker retry loops, the chaos-test
-// reconnects, and aeep_client --retries. Delays grow geometrically up to a
-// cap, and a seeded jitter fraction decorrelates the retriers so a fleet of
-// clients bounced by the same busy worker does not reconverge on it in
-// lockstep (the thundering-herd failure mode). All randomness flows from a
+// Jittered exponential backoff — the retry clock of aeep_client --retries.
+// Delays grow geometrically up to a cap, and a seeded jitter fraction
+// decorrelates the retriers so a crowd of clients bounced by the same
+// recovering server does not reconverge on it in lockstep (the
+// thundering-herd failure mode). All randomness flows from a
 // Xorshift64Star seed, so a given retry schedule is exactly reproducible.
 #pragma once
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
-namespace aeep::fabric {
+namespace aeep::server {
 
 /// Shape of a retry schedule. With the defaults the deterministic ceiling
 /// per attempt is 50, 100, 200, 400, ... capped at 5000 ms; the jitter
@@ -46,4 +45,4 @@ class Backoff {
 /// schedule without waiting through it.
 void backoff_sleep(Backoff& backoff);
 
-}  // namespace aeep::fabric
+}  // namespace aeep::server

@@ -215,39 +215,50 @@ void JobServer::dispatch_loop() {
     // callback the moment it finishes — a fast trace replay's client is
     // answered while a slow exec job in the same batch still runs.
     runner_->run(grid, [&](const sim::SweepProgress& p) {
-      bool store_result = false;
       h_replay_.record(static_cast<u64>(p.outcome->wall_seconds * 1e6));
+      const u64 id = ids[p.job_index];
       {
         const MutexLock g(mutex_);
-        const auto it = jobs_.find(ids[p.job_index]);
+        const auto it = jobs_.find(id);
         if (it == jobs_.end()) return;
         Job& job = it->second;
         if (!p.outcome->ok()) {
           finish_job_locked(job, JobState::kFailed, ServerErrorKind::kInternal,
                             p.outcome->error);
-        } else if (job.has_deadline && metrics::now() > job.deadline) {
+          return;
+        }
+        if (job.has_deadline && metrics::now() > job.deadline) {
           finish_job_locked(job, JobState::kTimeout, ServerErrorKind::kTimeout,
                             "completed after its deadline; result discarded");
-        } else {
+          return;
+        }
+        if (!cache_) {
           job.result = p.outcome->result;
           finish_job_locked(job, JobState::kDone, ServerErrorKind::kInternal,
                             "");
-          store_result = cache_ != nullptr;
+          return;
         }
       }
-      // The store insert happens after mutex_ is released — the cache has
-      // its own lock and the two must never nest (see submit_job).
-      if (store_result) {
-        cache_->insert(grid[p.job_index], p.outcome->result);
-        {
-          const MutexLock g(mutex_);
-          ++stats_.cache_stores;
+      // Store first, then complete: a client that resubmits the moment it
+      // sees the result must hit. The insert runs with mutex_ released —
+      // the cache has its own lock and the two must never nest (see
+      // submit_job). A running job is never erased or finished by anyone
+      // else, so it is still there to complete.
+      cache_->insert(grid[p.job_index], p.outcome->result);
+      {
+        const MutexLock g(mutex_);
+        ++stats_.cache_stores;
+        const auto it = jobs_.find(id);
+        if (it != jobs_.end()) {
+          it->second.result = p.outcome->result;
+          finish_job_locked(it->second, JobState::kDone,
+                            ServerErrorKind::kInternal, "");
         }
-        JsonValue f = JsonValue::object();
-        f.set("job", JsonValue::number(ids[p.job_index]));
-        f.set("benchmark", JsonValue::string(grid[p.job_index].benchmark));
-        log_.write("cache_store", std::move(f));
       }
+      JsonValue f = JsonValue::object();
+      f.set("job", JsonValue::number(id));
+      f.set("benchmark", JsonValue::string(grid[p.job_index].benchmark));
+      log_.write("cache_store", std::move(f));
     });
   }
 }
@@ -704,8 +715,8 @@ JsonValue JobServer::handle_stats() const {
 }
 
 JsonValue JobServer::handle_health() const {
-  // Deliberately cheap — the fabric coordinator probes every worker with
-  // this before dispatch, so it must answer fast even under load.
+  // Deliberately cheap — a load balancer or supervisor may poll it often,
+  // so it must answer fast even under load.
   JsonValue r = ok_reply("health");
   r.set("draining", JsonValue::boolean(draining_.load()));
   {
@@ -719,9 +730,9 @@ JsonValue JobServer::handle_health() const {
 
 JsonValue JobServer::handle_drain() {
   // Remote equivalent of aeep_served's SIGTERM path: stop accepting new
-  // submits, let the queue finish. The reply confirms the state flip so a
-  // coordinator can retire the worker immediately instead of discovering
-  // kShutdown bounces one submit at a time.
+  // submits, let the queue finish. The reply confirms the state flip so the
+  // caller need not discover it from kShutdown bounces one submit at a
+  // time.
   request_drain();
   JsonValue r = ok_reply("drain");
   r.set("draining", JsonValue::boolean(true));
@@ -731,7 +742,7 @@ JsonValue JobServer::handle_drain() {
 JsonValue JobServer::handle_metrics() const {
   // Whole-registry snapshot: every histogram (raw buckets + derived
   // percentiles) and counter in the process, not just the server.* family —
-  // a worker's store.* and sim.* instruments ride along for free.
+  // the store.* and sim.* instruments ride along for free.
   JsonValue r = ok_reply("metrics");
   r.set("uptime_ms", JsonValue::number(metrics::ms_since(started_at_)));
   r.set("metrics", metrics::Registry::instance().snapshot_json());

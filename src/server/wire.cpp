@@ -159,23 +159,6 @@ sim::ExperimentOptions to_experiment_options(const JobSpec& spec) {
   return opts;
 }
 
-JobSpec job_spec_from_options(const std::string& benchmark,
-                              const sim::ExperimentOptions& options) {
-  JobSpec spec;
-  spec.benchmark = benchmark;
-  spec.frontend = options.frontend;
-  spec.scheme = options.scheme;
-  spec.cleaning_policy = options.cleaning_policy;
-  spec.cleaning_interval = options.cleaning_interval;
-  spec.decay_threshold = options.decay_threshold;
-  spec.ecc_entries_per_set = options.ecc_entries_per_set;
-  spec.instructions = options.instructions;
-  spec.warmup = options.warmup_instructions;
-  spec.seed = options.seed;
-  spec.maintain_codes = options.maintain_codes;
-  return spec;
-}
-
 JsonValue ok_reply(const std::string& type) {
   JsonValue j = JsonValue::object();
   j.set("ok", JsonValue::boolean(true));

@@ -70,14 +70,6 @@ JobSpec job_spec_from_json(const JsonValue& doc);
 /// (the server) must still fill options.trace_path from its registry.
 sim::ExperimentOptions to_experiment_options(const JobSpec& spec);
 
-/// Inverse of to_experiment_options: the JobSpec that makes a remote worker
-/// run exactly this local experiment. This is how the fabric coordinator
-/// ships a sim::SweepJob over the wire; round-tripping through it and back
-/// must reproduce the options bit-for-bit, or fabric results could not be
-/// compared against a local SweepRunner.
-JobSpec job_spec_from_options(const std::string& benchmark,
-                              const sim::ExperimentOptions& options);
-
 /// Enum spellings shared with the table/CLI output (to_string inverses).
 protect::SchemeKind scheme_from_string(const std::string& s);
 protect::CleaningPolicy cleaning_policy_from_string(const std::string& s);

@@ -12,8 +12,7 @@ namespace aeep::store {
 namespace {
 constexpr u64 kPayloadVersion = 1;
 
-// Store-level telemetry, shared by every SweepCache in the process (the
-// served cache and a fabric coordinator's cache count into one place).
+// Store-level telemetry, shared by every SweepCache in the process.
 metrics::Histogram& lookup_us_hist() {
   static metrics::Histogram& h =
       metrics::Registry::instance().histogram("store.lookup_us");
@@ -34,19 +33,12 @@ metrics::Counter& misses_counter() {
       metrics::Registry::instance().counter("store.misses");
   return c;
 }
-
-std::optional<JsonValue> metrics_object(const JsonValue& metrics) {
-  if (!metrics.is_object()) return std::nullopt;
-  return metrics;
-}
 }  // namespace
 
 SweepCache::SweepCache(StoreConfig config) : store_(std::move(config)) {}
 
-template <typename T>
-std::optional<T> SweepCache::lookup(
-    const sim::SweepJob& job, const char* field,
-    std::optional<T> (*decode)(const JsonValue&)) {
+std::optional<sim::RunResult> SweepCache::lookup_result(
+    const sim::SweepJob& job) {
   const metrics::ScopedTimer span(lookup_us_hist());
   const std::optional<Digest> key = job_digest(job);
   if (!key) {
@@ -55,10 +47,11 @@ std::optional<T> SweepCache::lookup(
     return std::nullopt;
   }
   const std::optional<JsonValue> payload = store_.lookup(*key);
-  const JsonValue* doc = payload && payload->get_u64("v") == kPayloadVersion
-                             ? payload->find(field)
-                             : nullptr;
-  std::optional<T> out = doc ? decode(*doc) : std::nullopt;
+  const JsonValue* full = payload && payload->get_u64("v") == kPayloadVersion
+                              ? payload->find("full")
+                              : nullptr;
+  std::optional<sim::RunResult> out =
+      full ? run_result_from_json(*full) : std::nullopt;
   const MutexLock lock(mutex_);
   if (out) {
     ++stats_.hits;
@@ -70,17 +63,7 @@ std::optional<T> SweepCache::lookup(
   return out;
 }
 
-std::optional<sim::RunResult> SweepCache::lookup_result(
-    const sim::SweepJob& job) {
-  return lookup(job, "full", &run_result_from_json);
-}
-
-std::optional<JsonValue> SweepCache::lookup_metrics(const sim::SweepJob& job) {
-  return lookup(job, "metrics", &metrics_object);
-}
-
-void SweepCache::insert_payload(const sim::SweepJob& job, JsonValue metrics,
-                                const sim::RunResult* full) {
+void SweepCache::insert(const sim::SweepJob& job, const sim::RunResult& result) {
   const metrics::ScopedTimer span(insert_us_hist());
   const std::optional<Digest> key = job_digest(job);
   if (!key) {
@@ -91,20 +74,11 @@ void SweepCache::insert_payload(const sim::SweepJob& job, JsonValue metrics,
   JsonValue payload = JsonValue::object();
   payload.set("v", JsonValue::number(kPayloadVersion));
   payload.set("benchmark", JsonValue::string(job.benchmark));
-  payload.set("metrics", std::move(metrics));
-  if (full) payload.set("full", run_result_to_json(*full));
+  payload.set("metrics", sim::run_result_json(result));
+  payload.set("full", run_result_to_json(result));
   store_.insert(*key, payload);
   const MutexLock lock(mutex_);
   ++stats_.inserts;
-}
-
-void SweepCache::insert(const sim::SweepJob& job, const sim::RunResult& result) {
-  insert_payload(job, sim::run_result_json(result), &result);
-}
-
-void SweepCache::insert_metrics(const sim::SweepJob& job,
-                                const JsonValue& metrics) {
-  insert_payload(job, metrics, nullptr);
 }
 
 SweepCacheStats SweepCache::stats() const {

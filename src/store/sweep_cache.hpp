@@ -4,12 +4,9 @@
 // A SweepJob's digest (store/digest.hpp) keys a payload holding both the
 // canonical metrics object (sim/result_json.hpp — what the wire protocol
 // and bench reporters emit) and the full RunResult codec document
-// (store/result_codec.hpp). Consumers that only need metrics (the fabric
-// coordinator, aeep_served replies) hit on either form; consumers that
-// need the full RunResult (the benches, which post-process raw counters)
-// hit only on payloads that carry the "full" document. A metrics-only
-// record therefore reads as a miss for a full-result consumer — it is
-// never silently widened into a fabricated RunResult.
+// (store/result_codec.hpp). Every consumer (the benches, aeep_served)
+// reads the full document back; a payload without one reads as a miss,
+// never as a fabricated RunResult.
 #pragma once
 
 #include <optional>
@@ -39,25 +36,15 @@ class SweepCache {
   /// trace::TraceError when the directory's segment is not a store segment.
   explicit SweepCache(StoreConfig config);
 
-  /// Full RunResult for `job`, or nullopt on miss / uncacheable job /
-  /// metrics-only payload.
+  /// Full RunResult for `job`, or nullopt on miss / uncacheable job.
+  /// Counts exactly one of hit, miss (absent, stale version, missing or
+  /// undecodable "full" document) or uncacheable.
   std::optional<sim::RunResult> lookup_result(const sim::SweepJob& job)
       AEEP_EXCLUDES(mutex_);
 
-  /// Canonical metrics object for `job` (run_result_json key set), or
-  /// nullopt on miss / uncacheable job.
-  std::optional<JsonValue> lookup_metrics(const sim::SweepJob& job)
-      AEEP_EXCLUDES(mutex_);
-
   /// Store a completed cell: both the metrics rendering and the full codec
-  /// document. No-op for uncacheable jobs.
+  /// document. No-op (counted uncacheable) for uncacheable jobs.
   void insert(const sim::SweepJob& job, const sim::RunResult& result)
-      AEEP_EXCLUDES(mutex_);
-
-  /// Store a metrics-only cell — what the fabric coordinator has in hand
-  /// for a worker-run job (workers return metrics JSON over the wire, not
-  /// RunResults). No-op for uncacheable jobs.
-  void insert_metrics(const sim::SweepJob& job, const JsonValue& metrics)
       AEEP_EXCLUDES(mutex_);
 
   SweepCacheStats stats() const AEEP_EXCLUDES(mutex_);
@@ -67,20 +54,6 @@ class SweepCache {
   ResultStore& result_store() { return store_; }
 
  private:
-  /// The one lookup path: digest `job`, read its payload and decode the
-  /// payload's `field` with `decode`, counting exactly one of hit, miss
-  /// (absent, stale version, missing field or failed decode) or
-  /// uncacheable.
-  template <typename T>
-  std::optional<T> lookup(const sim::SweepJob& job, const char* field,
-                          std::optional<T> (*decode)(const JsonValue&))
-      AEEP_EXCLUDES(mutex_);
-
-  /// The one insert path: `metrics`, plus the codec document of `full`
-  /// when given. No-op (counted uncacheable) for uncacheable jobs.
-  void insert_payload(const sim::SweepJob& job, JsonValue metrics,
-                      const sim::RunResult* full) AEEP_EXCLUDES(mutex_);
-
   ResultStore store_;
   mutable aeep::Mutex mutex_;
   SweepCacheStats stats_ AEEP_GUARDED_BY(mutex_){};

@@ -589,7 +589,7 @@ TEST(RawClock, FiresOnSteadyClockInSrcOutsideMetrics) {
       "const auto t0 = std::chrono::steady_clock::now();";
   EXPECT_TRUE(fired("src/server/x.cpp", src, "raw-clock"));
   EXPECT_TRUE(fired("src/sim/x.cpp", src, "raw-clock"));
-  EXPECT_TRUE(fired("src/fabric/x.hpp",
+  EXPECT_TRUE(fired("src/store/x.hpp",
                     "using Clock = std::chrono::steady_clock;", "raw-clock"));
   EXPECT_TRUE(fired("src/x.cpp",
                     "auto t = std::chrono::high_resolution_clock::now();",

@@ -2,17 +2,26 @@
 // and JobSpec mapping, the JobServer's queueing/backpressure/timeout/drain
 // semantics over real loopback TCP, and the load-bearing equivalence claim:
 // a trace-replay job through the server returns bit-identical metrics to
-// the same replay run in-process.
+// the same replay run in-process. Also the client's retry backoff, the
+// typed errors a misbehaving peer must surface as, the server's robustness
+// against malformed frames, the health/drain endpoints and the bounded
+// access log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "metrics/histogram.hpp"
+#include "server/access_log.hpp"
+#include "server/backoff.hpp"
 #include "server/client.hpp"
 #include "server/registry.hpp"
 #include "server/server.hpp"
@@ -107,6 +116,50 @@ TEST(ServerWire, CheckReplyRaisesTypedErrors) {
   EXPECT_EQ(kind_of([&] { check_reply(busy); }), ServerErrorKind::kBusy);
   const JsonValue fine = ok_reply("pong");
   EXPECT_EQ(&check_reply(fine), &fine);  // ok passes through
+}
+
+TEST(ServerWire, ToExperimentOptionsMapsEveryField) {
+  // Every mapped field is set away from its default, so a field the
+  // mapping drops shows up as a default value below.
+  JobSpec spec;
+  spec.benchmark = "mcf";
+  spec.frontend = sim::Frontend::kTrace;
+  spec.scheme = protect::SchemeKind::kSharedEccArray;
+  spec.cleaning_policy = protect::CleaningPolicy::kDecayCounter;
+  spec.cleaning_interval = 256 * 1024;
+  spec.decay_threshold = 3;
+  spec.ecc_entries_per_set = 2;
+  spec.instructions = 123'456;
+  spec.warmup = 7'890;
+  spec.seed = 99;
+  spec.maintain_codes = true;
+  spec.trace = "mcf_long";
+  spec.timeout_ms = 5'000;
+  const sim::ExperimentOptions defaults;
+  const sim::ExperimentOptions o = to_experiment_options(spec);
+  EXPECT_EQ(o.frontend, spec.frontend);
+  EXPECT_NE(o.frontend, defaults.frontend);
+  EXPECT_EQ(o.scheme, spec.scheme);
+  EXPECT_NE(o.scheme, defaults.scheme);
+  EXPECT_EQ(o.cleaning_policy, spec.cleaning_policy);
+  EXPECT_NE(o.cleaning_policy, defaults.cleaning_policy);
+  EXPECT_EQ(o.cleaning_interval, spec.cleaning_interval);
+  EXPECT_NE(o.cleaning_interval, defaults.cleaning_interval);
+  EXPECT_EQ(o.decay_threshold, spec.decay_threshold);
+  EXPECT_NE(o.decay_threshold, defaults.decay_threshold);
+  EXPECT_EQ(o.ecc_entries_per_set, spec.ecc_entries_per_set);
+  EXPECT_NE(o.ecc_entries_per_set, defaults.ecc_entries_per_set);
+  EXPECT_EQ(o.instructions, spec.instructions);
+  EXPECT_NE(o.instructions, defaults.instructions);
+  EXPECT_EQ(o.warmup_instructions, spec.warmup);
+  EXPECT_NE(o.warmup_instructions, defaults.warmup_instructions);
+  EXPECT_EQ(o.seed, spec.seed);
+  EXPECT_NE(o.seed, defaults.seed);
+  EXPECT_EQ(o.maintain_codes, spec.maintain_codes);
+  EXPECT_NE(o.maintain_codes, defaults.maintain_codes);
+  // The trace file is resolved by the server's registry, not the mapping.
+  EXPECT_TRUE(o.trace_path.empty());
+  EXPECT_TRUE(o.trace_dir.empty());
 }
 
 // --- framing over a real socket pair --------------------------------------
@@ -219,10 +272,6 @@ TEST(JobServer, ResubmittedJobIsServedFromTheResultStore) {
   const u64 first = client.submit(small_exec_job());
   const JsonValue cold = client.result(first, /*wait=*/true, 60'000);
   EXPECT_EQ(cold.get_string("state"), "done");
-  // The store insert happens after the job is observable as done (it runs
-  // outside the server mutex); wait for the counter before resubmitting.
-  for (int i = 0; i < 200 && served.stats().cache_stores == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ASSERT_EQ(served.stats().cache_stores, 1u);
 
   // Same spec again: answered from the store, born terminal — no queue
@@ -249,6 +298,46 @@ TEST(JobServer, ResubmittedJobIsServedFromTheResultStore) {
   EXPECT_EQ(wire.get_u64("store_entries"), 1u);
   EXPECT_GT(wire.get_u64("store_bytes"), 0u);
   served.drain();
+}
+
+TEST(JobServer, ResubmittingTheMomentAResultArrivesHitsTheStore) {
+  // A job's result must be in the store before the job is observable as
+  // done, or a client that resubmits at once races the insert and misses.
+  // Four clients keep both workers and the dispatcher busy, which is what
+  // opens that window.
+  const std::string store_dir =
+      testing::TempDir() + "aeep_server_test_store_race";
+  std::filesystem::remove_all(store_dir);
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 2;
+  cfg.store_dir = store_dir;
+  JobServer served(cfg);
+  served.start();
+
+  constexpr u64 kClients = 4;
+  constexpr u64 kJobsEach = 8;
+  std::atomic<u64> missed{0};
+  std::vector<std::thread> clients;
+  for (u64 c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client client("127.0.0.1", served.port());
+      for (u64 k = 0; k < kJobsEach; ++k) {
+        JobSpec spec = small_exec_job(5'000);
+        spec.seed = 1 + c * kJobsEach + k;
+        client.result(client.submit(spec), /*wait=*/true, 60'000);
+        const u64 warm = client.submit(spec);
+        if (!client.result(warm, /*wait=*/false).get_bool("ready")) ++missed;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(missed.load(), 0u);
+  const ServerStats stats = served.stats();
+  EXPECT_EQ(stats.cache_misses, kClients * kJobsEach);
+  EXPECT_EQ(stats.cache_hits, kClients * kJobsEach);
+  served.drain();
+  std::filesystem::remove_all(store_dir);
 }
 
 TEST(JobServer, FullQueueAnswersBusyInsteadOfQueueingUnboundedly) {
@@ -581,6 +670,305 @@ TEST(JobServer, FailedJobSurfacesAsTypedInternalError) {
             ServerErrorKind::kInternal);
   EXPECT_EQ(served.stats().failed, 1u);
   served.drain();
+}
+
+// --- client retry backoff ---------------------------------------------------
+
+TEST(Backoff, ZeroJitterIsTheExactGeometricLadder) {
+  BackoffPolicy policy;
+  policy.base_ms = 50;
+  policy.max_ms = 5'000;
+  policy.multiplier = 2.0;
+  policy.jitter = 0.0;
+  Backoff b(policy, 1);
+  EXPECT_EQ(b.next_delay_ms(), 50u);
+  EXPECT_EQ(b.next_delay_ms(), 100u);
+  EXPECT_EQ(b.next_delay_ms(), 200u);
+  EXPECT_EQ(b.next_delay_ms(), 400u);
+  for (int i = 0; i < 10; ++i) b.next_delay_ms();
+  EXPECT_EQ(b.next_delay_ms(), 5'000u);  // capped
+  b.reset();
+  EXPECT_EQ(b.next_delay_ms(), 50u);
+}
+
+TEST(Backoff, SameSeedSameSchedule) {
+  const BackoffPolicy policy;  // default jitter 0.5
+  Backoff a(policy, 42), b(policy, 42), c(policy, 43);
+  bool diverged = false;
+  for (int i = 0; i < 8; ++i) {
+    const u64 da = a.next_delay_ms();
+    EXPECT_EQ(da, b.next_delay_ms());
+    diverged = diverged || da != c.next_delay_ms();
+  }
+  EXPECT_TRUE(diverged) << "different seeds should jitter differently";
+}
+
+TEST(Backoff, JitteredDelaysStayWithinTheEnvelope) {
+  BackoffPolicy policy;
+  policy.base_ms = 100;
+  policy.max_ms = 10'000;
+  policy.jitter = 0.5;
+  Backoff b(policy, 9);
+  u64 ceiling = 100;
+  for (int i = 0; i < 6; ++i) {
+    const u64 d = b.next_delay_ms();
+    EXPECT_GE(d, ceiling / 2);
+    EXPECT_LE(d, ceiling);
+    ceiling = std::min<u64>(ceiling * 2, policy.max_ms);
+  }
+}
+
+// --- a misbehaving peer: the typed error each fault surfaces as ---------
+
+/// A one-connection stand-in for aeep_served: accepts the client, reads its
+/// request frame, then hands the connection to `script`, which answers (or
+/// fails to) with raw bytes. The connection closes when `script` returns.
+class ScriptedPeer {
+ public:
+  explicit ScriptedPeer(std::function<void(Socket&)> script)
+      : thread_([this, script = std::move(script)] {
+          std::optional<Socket> conn = listener_.accept(5'000);
+          if (!conn || !recv_frame(*conn, 5'000)) return;
+          script(*conn);
+        }) {}
+  ~ScriptedPeer() { thread_.join(); }
+
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  u16 port() const { return listener_.port(); }
+
+ private:
+  Listener listener_{"127.0.0.1", 0};
+  std::thread thread_;
+};
+
+/// A well-formed pong as raw frame bytes (4-byte little-endian length
+/// prefix + JSON payload), for scripts to send whole or mangle.
+std::string pong_frame() {
+  const std::string payload = ok_reply("pong").dump(0);
+  const auto len = static_cast<u32>(payload.size());
+  std::string frame;
+  for (int shift = 0; shift < 32; shift += 8)
+    frame.push_back(static_cast<char>((len >> shift) & 0xFF));
+  return frame + payload;
+}
+
+TEST(Chaos, CorruptedFramesSurfaceAsProtocolErrors) {
+  ScriptedPeer peer([](Socket& conn) {
+    std::string frame = pong_frame();
+    frame[4] = static_cast<char>(frame[4] ^ 0xFF);  // payload's opening '{'
+    conn.send_all(frame.data(), frame.size());
+  });
+  Client client("127.0.0.1", peer.port());
+  EXPECT_EQ(kind_of([&] { client.ping(); }), ServerErrorKind::kProtocol);
+}
+
+TEST(Chaos, KilledConnectionsSurfaceAsIoErrors) {
+  ScriptedPeer peer([](Socket&) {});  // close before the reply
+  Client client("127.0.0.1", peer.port());
+  EXPECT_EQ(kind_of([&] { client.ping(); }), ServerErrorKind::kIo);
+}
+
+TEST(Chaos, TruncatedFramesSurfaceAsIoErrors) {
+  ScriptedPeer peer([](Socket& conn) {
+    // An honest prefix but only half the payload, then close.
+    const std::string frame = pong_frame();
+    conn.send_all(frame.data(), 4 + (frame.size() - 4) / 2);
+  });
+  Client client("127.0.0.1", peer.port());
+  EXPECT_EQ(kind_of([&] { client.ping(); }), ServerErrorKind::kIo);
+}
+
+TEST(Chaos, DroppedFramesTimeOutInsteadOfHanging) {
+  ScriptedPeer peer([](Socket& conn) {
+    // Never answer; hold the connection until the client closes it.
+    char byte = 0;
+    try {
+      while (conn.recv_exact(&byte, 1, 10'000)) {
+      }
+    } catch (const ServerError&) {
+    }
+  });
+  Client client("127.0.0.1", peer.port());
+  client.set_call_timeout_ms(300);  // no reply -> bounded wait
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(kind_of([&] { client.ping(); }), ServerErrorKind::kIo);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
+ServerConfig worker_config() {
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 1;
+  return cfg;
+}
+
+// --- wire-frame robustness: malformed bytes against a live server ----------
+
+TEST(WireRobustness, OversizedDeclaredLengthIsAProtocolError) {
+  JobServer served(worker_config());
+  served.start();
+  Socket sock = connect_to("127.0.0.1", served.port());
+  const u8 huge[4] = {0xFF, 0xFF, 0xFF, 0x7F};  // ~2GB declared
+  sock.send_all(huge, sizeof(huge));
+  // The server answers with a typed protocol error before closing.
+  const auto reply = recv_frame(sock, 5'000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(kind_of([&] { check_reply(*reply); }),
+            ServerErrorKind::kProtocol);
+  Client direct("127.0.0.1", served.port());
+  EXPECT_TRUE(direct.ping().get_bool("ok", false));
+  served.stop();
+}
+
+TEST(WireRobustness, GarbagePayloadIsAProtocolError) {
+  JobServer served(worker_config());
+  served.start();
+  Socket sock = connect_to("127.0.0.1", served.port());
+  const char payload[] = "this is not json";
+  const u32 len = sizeof(payload) - 1;
+  const u8 prefix[4] = {static_cast<u8>(len & 0xFF),
+                        static_cast<u8>((len >> 8) & 0xFF),
+                        static_cast<u8>((len >> 16) & 0xFF),
+                        static_cast<u8>((len >> 24) & 0xFF)};
+  sock.send_all(prefix, sizeof(prefix));
+  sock.send_all(payload, len);
+  const auto reply = recv_frame(sock, 5'000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(kind_of([&] { check_reply(*reply); }),
+            ServerErrorKind::kProtocol);
+  served.stop();
+}
+
+TEST(WireRobustness, TruncatedHeaderAndMidFrameDisconnectDoNotWedge) {
+  JobServer served(worker_config());
+  served.start();
+  {
+    // Two bytes of a four-byte prefix, then gone.
+    Socket sock = connect_to("127.0.0.1", served.port());
+    const u8 half[2] = {0x10, 0x00};
+    sock.send_all(half, sizeof(half));
+  }
+  {
+    // An honest prefix, a third of the payload, then gone.
+    Socket sock = connect_to("127.0.0.1", served.port());
+    const u8 prefix[4] = {30, 0, 0, 0};
+    sock.send_all(prefix, sizeof(prefix));
+    sock.send_all("{\"type\":\"pi", 10);
+  }
+  // Neither connection may take the server down or wedge its accept loop.
+  Client direct("127.0.0.1", served.port());
+  EXPECT_TRUE(direct.ping().get_bool("ok", false));
+  EXPECT_TRUE(direct.stats().get_bool("ok", false));
+  served.stop();
+}
+
+// --- health + drain endpoints ----------------------------------------------
+
+TEST(HealthDrain, HealthReportsLoadAndDrainState) {
+  JobServer served(worker_config());
+  served.start();
+  Client client("127.0.0.1", served.port());
+  const JsonValue h = client.health();
+  EXPECT_TRUE(h.get_bool("ok", false));
+  EXPECT_FALSE(h.get_bool("draining", true));
+  EXPECT_EQ(h.get_u64("queued", 99), 0u);
+  EXPECT_GT(h.get_u64("queue_capacity", 0), 0u);
+  served.stop();
+}
+
+TEST(HealthDrain, DrainFlipsTheStateAndBouncesNewSubmits) {
+  JobServer served(worker_config());
+  served.start();
+  Client client("127.0.0.1", served.port());
+  const JsonValue d = client.drain();
+  EXPECT_TRUE(d.get_bool("draining", false));
+  EXPECT_TRUE(client.health().get_bool("draining", false));
+  JobSpec spec;
+  spec.instructions = 10'000;
+  EXPECT_EQ(kind_of([&] { client.submit(spec); }),
+            ServerErrorKind::kShutdown);
+  served.stop();
+}
+
+// --- bounded access log ----------------------------------------------------
+
+TEST(AccessLog, RotatesAtTheSizeBoundAndKeepsOneGeneration) {
+  const std::string path = testing::TempDir() + "aeep_server_test_access.log";
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+  AccessLog log;
+  log.open(path, 512);
+  for (int i = 0; i < 40; ++i) {
+    JsonValue f = JsonValue::object();
+    f.set("i", JsonValue::number(u64(static_cast<unsigned>(i))));
+    log.write("tick", std::move(f));
+  }
+  EXPECT_GT(log.rotated(), 0u);
+  log.close();
+  std::FILE* rotated = std::fopen((path + ".1").c_str(), "r");
+  ASSERT_NE(rotated, nullptr);
+  std::fclose(rotated);
+  std::FILE* current = std::fopen(path.c_str(), "r");
+  ASSERT_NE(current, nullptr);
+  std::fclose(current);
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+}
+
+TEST(AccessLog, ConcurrentWritersWithRotationAreRaceFree) {
+  // Regression for a TSan-visible race: write() used to early-return on an
+  // *unlocked* read of the stream pointer, racing rotate_locked()/close()
+  // clearing it on another thread. A tiny rotation bound keeps rotations
+  // (and thus writes to the pointer) constant while four writers hammer
+  // reads of it; run under -DAEEP_SANITIZE=thread this test fails loudly
+  // if the unlocked check ever comes back.
+  const std::string path = testing::TempDir() + "aeep_server_test_race.log";
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+  AccessLog log;
+  log.open(path, 256);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&log, w] {
+      for (int i = 0; i < 200; ++i) {
+        JsonValue f = JsonValue::object();
+        f.set("w", JsonValue::number(u64(static_cast<unsigned>(w))));
+        f.set("i", JsonValue::number(u64(static_cast<unsigned>(i))));
+        log.write("tick", std::move(f));
+      }
+    });
+  }
+  // Concurrent readers of the rotation counter (stats path).
+  std::thread reader([&log] {
+    for (int i = 0; i < 400; ++i) (void)log.rotated();
+  });
+  for (auto& t : writers) t.join();
+  reader.join();
+  EXPECT_GT(log.rotated(), 0u);
+  log.close();
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+}
+
+TEST(AccessLog, ServerStatsExposeTheRotationCounter) {
+  const std::string path =
+      testing::TempDir() + "aeep_server_test_served_access.log";
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+  ServerConfig cfg = worker_config();
+  cfg.access_log_path = path;
+  cfg.access_log_max_bytes = 400;
+  JobServer served(cfg);
+  served.start();
+  Client client("127.0.0.1", served.port());
+  for (int i = 0; i < 20; ++i) client.ping();
+  const JsonValue stats = client.stats();
+  EXPECT_GT(stats.get_u64("access_log_rotated", 0), 0u);
+  served.stop();
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/result_json.hpp"
 #include "sim/sweep.hpp"
 #include "store/build_digest.hpp"
 #include "store/digest.hpp"
@@ -391,28 +390,6 @@ TEST(ResultStore, RandomOpsKeepIndexConsistent) {
 
 // --- SweepCache / run_grid_cached ------------------------------------------
 
-TEST(SweepCache, MetricsOnlyRecordsMissForFullResultConsumers) {
-  const std::string dir = temp_dir("metrics_only");
-  SweepCache cache({dir, 64});
-  const sim::SweepJob job{"gzip", small_options(), "x"};
-
-  JsonValue metrics = JsonValue::object();
-  metrics.set("ipc", JsonValue::number(1.25));
-  cache.insert_metrics(job, metrics);
-
-  // Metrics consumers (coordinator, server replies) hit...
-  const auto m = cache.lookup_metrics(job);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->dump(0), metrics.dump(0));
-  // ...full-result consumers (benches) miss rather than fabricate.
-  EXPECT_FALSE(cache.lookup_result(job).has_value());
-
-  const SweepCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.inserts, 1u);
-}
-
 TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   const std::string dir = temp_dir("warm");
   const auto grid = small_grid();
@@ -464,13 +441,6 @@ TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_TRUE(saw_job[i]) << i;
     EXPECT_EQ(warm_walls[i], 0.0) << i;
-  }
-
-  // And the cached metrics view renders exactly like a fresh run's.
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto m = warm.lookup_metrics(grid[i]);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->dump(0), sim::run_result_json(cold_results[i]).dump(0));
   }
 }
 

@@ -33,7 +33,7 @@ import sys
 EXPECTED_SCHEMA_VERSION = 2
 
 # Keys whose values legitimately differ between runs of the same config.
-UNPINNED_KEYS = frozenset({"wall_clock_seconds", "git_rev", "jobs"})
+UNPINNED_KEYS = frozenset({"wall_clock_seconds", "wall_ms", "git_rev", "jobs"})
 
 
 def type_name(v):
@@ -111,8 +111,10 @@ def self_test():
         # depth, but their types still are.
         (
             {"git_rev": "aef4ae8", "jobs": 1, "wall_clock_seconds": 3.9,
+             "config": {"wall_ms": 97.0},
              "cells": [{"wall_clock_seconds": 0.1, "m": {"ipc": 1.0}}]},
             {"git_rev": "f6e4cf1", "jobs": 4, "wall_clock_seconds": 1.2,
+             "config": {"wall_ms": 0.003},
              "cells": [{"wall_clock_seconds": 0.3, "m": {"ipc": 1.0}}]},
             [],
         ),

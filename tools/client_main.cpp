@@ -5,7 +5,7 @@
 //   aeep_client stats   — queue depth, counters, uptime
 //   aeep_client metrics — per-stage latency histograms + counters
 //                         (also reachable as `aeep_client --metrics`)
-//   aeep_client health  — liveness + drain state (what the fabric probes)
+//   aeep_client health  — liveness, load and drain state
 //   aeep_client drain   — ask the server to stop accepting new jobs
 //   aeep_client submit  [job flags]            -> prints the job id
 //   aeep_client status  --job=N
@@ -14,9 +14,8 @@
 //
 // Connection flags: --retries=N (re-attempt a refused connection N more
 // times) and --backoff-ms=MS (base of the jittered exponential backoff
-// between attempts — the same fabric::Backoff schedule the coordinator
-// uses). A server that stays unreachable exits 6 with a plain-language
-// message, not a raw errno.
+// between attempts, on the server::Backoff schedule). A server that stays
+// unreachable exits 6 with a plain-language message, not a raw errno.
 //
 // Output flags (any reply-printing command): --field=a.b.c extracts one
 // value from the reply JSON by dot-path and prints it raw (strings
@@ -34,7 +33,7 @@
 // --instructions=N --warmup=N --seed=N --maintain-codes --trace=NAME
 // --timeout-ms=N
 //
-// `run --json=FILE` writes the bench pipeline's schema-v1 document (one
+// `run --json=FILE` writes the bench pipeline's schema-v2 document (one
 // cell, tag "server"), so a remote run diffs key-for-key against a local
 // bench cell. Exit codes: 0 ok, 2 usage, 3 busy (backpressure), 4 not
 // found, 5 job timeout, 6 cannot connect, 7 unauthorized, 1 anything else.
@@ -42,8 +41,8 @@
 #include <string>
 
 #include "common/cli.hpp"
-#include "fabric/backoff.hpp"
 #include "json_reporter.hpp"
+#include "server/backoff.hpp"
 #include "server/client.hpp"
 
 using namespace aeep;
@@ -65,15 +64,15 @@ int usage() {
   return 2;
 }
 
-/// Connect, retrying a refused/unreachable server on the fabric's jittered
-/// backoff schedule. A fleet of clients pointed at the same recovering
-/// server therefore does not reconnect in lockstep. Exits 6 (with a
+/// Connect, retrying a refused/unreachable server on a jittered backoff
+/// schedule. A crowd of clients pointed at the same recovering server
+/// therefore does not reconnect in lockstep. Exits 6 (with a
 /// human-readable message, not a bare errno) when every attempt fails.
 server::Client connect_or_exit(const std::string& host, u16 port,
                                unsigned retries, u64 backoff_base_ms) {
-  fabric::BackoffPolicy policy;
+  server::BackoffPolicy policy;
   policy.base_ms = backoff_base_ms == 0 ? 1 : backoff_base_ms;
-  fabric::Backoff backoff(policy, /*seed=*/1);
+  server::Backoff backoff(policy, /*seed=*/1);
   for (unsigned attempt = 0;; ++attempt) {
     try {
       return server::Client(host, port);
@@ -90,7 +89,7 @@ server::Client connect_or_exit(const std::string& host, u16 port,
                    "aeep_client: connect to %s:%u failed (attempt %u of %u), "
                    "backing off...\n",
                    host.c_str(), unsigned{port}, attempt + 1, retries + 1);
-      fabric::backoff_sleep(backoff);
+      server::backoff_sleep(backoff);
     }
   }
 }

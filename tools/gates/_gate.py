@@ -1,13 +1,15 @@
 """Shared command line for the CI gate scripts in this directory.
 
-A gate script defines check(doc, *context) -> (summary line, list of failed
-checks) and a list of self-test fixtures ((doc, *context), expected number
-of failed checks), then exits with run(__doc__, check, cases, context).
+A gate script defines check(doc, ..., *context) -> (summary line, list of
+failed checks), taking one loaded document per input file, and a list of
+self-test fixtures ((doc, ..., *context), expected number of failed
+checks), then exits with run(__doc__, check, cases, context, files).
 
-`GATE.py FILE.json` loads the JSON file, prints the summary and every
-failed check, and returns 0 when the gate holds, 1 otherwise (2 on bad
-usage). `GATE.py --self-test` runs check() on the fixtures instead and
-returns 1 if any fixture gives a different number of failed checks.
+`GATE.py FILE.json ...` loads the `files` JSON files (one by default),
+prints the summary and every failed check, and returns 0 when the gate
+holds, 1 otherwise (2 on bad usage). `GATE.py --self-test` runs check() on
+the fixtures instead and returns 1 if any fixture gives a different number
+of failed checks.
 """
 
 import json
@@ -31,16 +33,18 @@ def self_test(check, cases):
     return 0
 
 
-def run(doc, check, cases, context=()):
+def run(doc, check, cases, context=(), files=1):
     argv = sys.argv
     if argv[1:] == ["--self-test"]:
         return self_test(check, cases)
-    if len(argv) != 2:
+    if len(argv) != 1 + files:
         print(doc.strip(), file=sys.stderr)
         return 2
-    with open(argv[1]) as f:
-        data = json.load(f)
-    summary, errors = check(data, *context)
+    docs = []
+    for path in argv[1:]:
+        with open(path) as f:
+            docs.append(json.load(f))
+    summary, errors = check(*docs, *context)
     print(summary)
     for e in errors:
         print(f"FAILED: {e}")
